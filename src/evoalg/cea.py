@@ -575,6 +575,8 @@ def load_config(path_or_text) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as e:
         raise EvoalgError(f"bad config JSON: {e}") from None
+    if not isinstance(cfg, dict):
+        raise EvoalgError("config must be a JSON object")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise EvoalgError(
             f"unsupported schema_version {cfg.get('schema_version')!r} "
@@ -582,17 +584,30 @@ def load_config(path_or_text) -> dict:
         )
     if "family" not in cfg:
         raise EvoalgError("config is missing 'family'")
-    spec = ChainFamilySpec.make(cfg["family"], cfg.get("functions"), cfg.get("thresholds"))
+    functions = cfg.get("functions") or {}
+    if not (isinstance(functions, dict) and all(isinstance(v, str) for v in functions.values())):
+        raise EvoalgError("config 'functions' must map slot names to expression strings")
+    thresholds = cfg.get("thresholds") or {}
+    if not (isinstance(thresholds, dict)
+            and all(isinstance(v, (int, float)) for v in thresholds.values())):
+        raise EvoalgError("config 'thresholds' must map names to numbers")
+    spec = ChainFamilySpec.make(cfg["family"], functions, thresholds)
+
+    def value(key, default, convert):
+        try:
+            return convert(cfg.get(key, default))
+        except (TypeError, ValueError):
+            raise EvoalgError(f"config {key!r} is malformed: {cfg.get(key)!r}") from None
+
     out = {
         "spec": spec,
-        "window": tuple(cfg.get("window", (0.0, 4.0, 0.0, 4.0))),
-        "resolution": cfg.get("resolution", 64),
-        "seed": int(cfg.get("seed", 0)),
-        "tolerance": float(cfg.get("tolerance", 1e-9)),
-        "samples": int(cfg.get("samples", 1000)),
-        "t_max": float(cfg.get("t_max", 10.0)),
+        "window": value("window", (0.0, 4.0, 0.0, 4.0), lambda v: tuple(float(x) for x in v)),
+        "resolution": value("resolution", 64,
+                            lambda v: tuple(int(x) for x in v) if isinstance(v, list) else int(v)),
+        "seed": value("seed", 0, int),
+        "tolerance": value("tolerance", 1e-9, float),
+        "samples": value("samples", 1000, int),
+        "t_max": value("t_max", 10.0, float),
         "property": cfg.get("property", "E4"),
     }
-    if isinstance(out["resolution"], list):
-        out["resolution"] = tuple(int(v) for v in out["resolution"])
     return out

@@ -21,6 +21,7 @@ changes with a quantified homomorphism residual.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -543,17 +544,29 @@ def _col_swap(T):
     return ((T[0][1], T[0][0]), (T[1][1], T[1][0]))
 
 
+@functools.cache
+def _param_probes(field, tag, n):
+    """Canonical matrices at parameters 0 and at each unit vector (cached)."""
+    base = canonical_matrix(AlgebraClass(field, tag, (0,) * n))
+    probes = tuple(canonical_matrix(AlgebraClass(field, tag, (0,) * r + (1,) + (0,) * (n - 1 - r)))
+                   for r in range(n))
+    return base, probes
+
+
+def _param_derivatives(A, field, tag, n, T):
+    """Homomorphism components at the zero-parameter form, and their
+    derivative in each of the n canonical parameters.  The components are
+    img - mult_B and mult is linear in B, so the derivative in parameter r
+    is mult_base - mult_probe = hom(probe) - hom(base)."""
+    base, probes = _param_probes(field, tag, n)
+    r0 = np.array(_hom_components(A, base, T))
+    return r0, [np.array(_hom_components(A, probe, T)) - r0 for probe in probes]
+
+
 def _refit_params(A, field, tag, T, params):
     """Given a witness T, re-fit the canonical parameters by linear least
     squares on the homomorphism residual (the residual is linear in them)."""
-    base = canonical_matrix(AlgebraClass(field, tag, tuple(0 for _ in params)))
-    r0 = np.array(_hom_components(A, base, T))
-    cols = []
-    for r in range(len(params)):
-        probe = [0] * len(params)
-        probe[r] = 1
-        Bp = canonical_matrix(AlgebraClass(field, tag, tuple(probe)))
-        cols.append(np.array(_hom_components(A, Bp, T)) - r0)
+    r0, cols = _param_derivatives(A, field, tag, len(params), T)
     M = -np.column_stack(cols)
     sol, *_ = np.linalg.lstsq(M, r0, rcond=None)
     if field == REAL:
@@ -649,13 +662,6 @@ def _joint_rank2(A, field, tag, seed, starts):
     p_dof = (2 if complex_mode else 1) * np_
     dof = t_dof + p_dof
 
-    base = canonical_matrix(AlgebraClass(field, tag, (0,) * np_))
-    probes = []
-    for r in range(np_):
-        v = [0] * np_
-        v[r] = 1
-        probes.append(canonical_matrix(AlgebraClass(field, tag, tuple(v))))
-
     def split(xv):
         T = _unpack(xv[:t_dof], complex_mode)
         if complex_mode:
@@ -675,14 +681,7 @@ def _joint_rank2(A, field, tag, seed, starts):
         T, params = split(xv)
         B = build_B(params)
         J = _jacobian_vec(A, B, T, complex_mode)
-        cols = []
-        for probe in probes:
-            # residual components are img - mult_B and mult is linear in B,
-            # so d(res)/d(param) = mult_base - mult_probe = hom(probe) - hom(base)
-            dc = np.array(_hom_components(A, probe, T)) - np.array(
-                _hom_components(A, base, T)
-            )
-            cols.append(dc)
+        _, cols = _param_derivatives(A, field, tag, np_, T)
         m = J.shape[0]
         Jp = np.zeros((m, p_dof))
         for r, col in enumerate(cols):

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: classify, cea verify, cea diagram, rbo verify, rbo search,
-rbo systems.  Exit codes: 0 ok, 1 input error, 2 unclassifiable,
-3 verification failure.  All stochastic behavior is a pure function of the
-flags and --seed, so identical invocations produce byte-identical output.
+rbo systems.  Exit codes: 0 ok, 1 input error (usage errors included),
+2 unclassifiable, 3 verification failure.  All stochastic behavior is a pure
+function of the flags and --seed, so identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="seed for all sampling (default 0, or the config value)")
     p.add_argument("--tol", type=float, default=None,
                    help="verification tolerance (default 1e-9, or the config value)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker bound for internal parallelism (results do not depend on it)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="classify a 2x2 structure matrix")
@@ -64,7 +63,7 @@ def _parser() -> argparse.ArgumentParser:
     rb_sub = rb.add_subparsers(dest="rbo_command", required=True)
     rv = rb_sub.add_parser("verify", help="verify catalog families by sampling")
     rv.add_argument("--algebra", default="all", help="E1..E6 or all")
-    rv.add_argument("--weight", default="all", help="0, 1, or all")
+    rv.add_argument("--weight", choices=("0", "1", "all"), default="all")
     rv.add_argument("--samples", type=int, default=200)
     rv.add_argument("--out", default=None, help="write the report as CSV here")
     rs = rb_sub.add_parser("search", help="multi-start residual root search")
@@ -126,7 +125,7 @@ def cmd_cea_verify(args) -> int:
                                    seed=_resolve(args.seed, cfg["seed"]),
                                    tol=_resolve(args.tol, cfg["tolerance"]),
                                    t_max=cfg["t_max"])
-    except EvoalgError as e:
+    except (EvoalgError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     print(f"chapman-kolmogorov {cfg['spec'].family}: {report.summary()}")
@@ -167,7 +166,7 @@ def cmd_rbo_verify(args) -> int:
                     reports.append(rbo_mod.verify_family(
                         fam, param_samples=args.samples, seed=_resolve(args.seed, 0),
                         tol=_resolve(args.tol, 1e-9)))
-    except rbo_mod.UnknownAlgebraError as e:
+    except (rbo_mod.UnknownAlgebraError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     for rep in reports:
@@ -228,10 +227,11 @@ def cmd_rbo_systems(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return INPUT_ERROR
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, which here means "unclassifiable"
+        return OK if e.code == 0 else INPUT_ERROR
     if args.command == "classify":
         return cmd_classify(args)
     if args.command == "cea":
@@ -241,10 +241,6 @@ def main(argv=None) -> int:
     if args.rbo_command == "search":
         return cmd_rbo_search(args)
     return cmd_rbo_systems(args)
-
-
-def console() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

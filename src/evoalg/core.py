@@ -10,14 +10,18 @@ extended bilinearly, so (x*y)_k = sum_i x_i y_i a_ik.
 
 A linear map P(e_i) = sum_j r_ij e_j (rows of R) is a Rota-Baxter operator
 of weight lam when P(x)P(y) = P(x P(y) + P(x) y + lam x y) for all x, y.
-`rb_residual` evaluates LHS - RHS of that identity on all basis pairs.
+`rb_components` expands LHS - RHS of that identity on all basis pairs.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import operator
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class EvoalgError(Exception):
@@ -167,20 +171,91 @@ def multiply(A: StructureMatrix, x: AlgebraElement, y: AlgebraElement) -> Algebr
     return AlgebraElement(tuple(out))
 
 
-def apply_operator(R: RotaBaxterOperator | tuple, v: AlgebraElement) -> AlgebraElement:
-    """Apply the linear map with row-wise matrix R to the element v."""
-    rows = R.entries if isinstance(R, RotaBaxterOperator) else R
-    n = len(rows)
-    if v.dim != n:
-        raise DimensionMismatchError(f"element dim {v.dim} does not match operator dim {n}")
-    out = [0j] * n
-    for m in range(n):
-        c = v.coords[m]
-        if c == 0:
-            continue
+@functools.cache
+def rb_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Basis pairs i <= j in residual order: the diagonal pairs first, then
+    the off-diagonal pairs in lexicographic order."""
+    return tuple([(i, i) for i in range(n)]
+                 + [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _column_sum(u, M, k):
+    """Coordinate k of the row vector u times M, summed from the first term."""
+    s = u[0] * M[0][k]
+    for m in range(1, len(u)):
+        s = s + u[m] * M[m][k]
+    return s
+
+
+def rb_components(a, R, weight) -> list:
+    """Coordinate k of P(e_i)P(e_j) - P(e_i P(e_j) + P(e_i) e_j + weight e_i e_j)
+    for each pair (i, j) of `rb_pairs(n)` and each k, in that order.
+
+    `a` is the structure matrix and `R` the row matrix of P.  Only +, - and *
+    are used and sums start from their first term, so the entries may be
+    complex numbers or Poly values.  Nothing is validated; see
+    rb_residual_general.
+    """
+    n = len(R)
+    coords, rest = range(n), range(1, n)
+    out = []
+    for i, j in rb_pairs(n):
+        # v = e_i P(e_j) + P(e_i) e_j + weight e_i e_j, u = P(e_i) * P(e_j) coordinatewise
+        ai, aj, rji, rij = a[i], a[j], R[j][i], R[i][j]
+        if i == j:
+            v = [rji * ai[m] + rij * aj[m] + weight * ai[m] for m in coords]
+        else:
+            v = [rji * ai[m] + rij * aj[m] for m in coords]
+        u = list(map(operator.mul, R[i], R[j]))
+        for k in coords:  # _column_sum(u, a, k) - _column_sum(v, R, k), inlined for speed
+            lhs = u[0] * a[0][k]
+            rhs = v[0] * R[0][k]
+            for m in rest:
+                lhs = lhs + u[m] * a[m][k]
+                rhs = rhs + v[m] * R[m][k]
+            out.append(lhs - rhs)
+    return out
+
+
+def rb_jacobian(A, R, weight) -> np.ndarray:
+    """Analytic complex Jacobian of rb_components with respect to the
+    operator entries; rows follow rb_components, columns are ordered
+    R_11, R_12, ..., R_nn (row-major)."""
+    a = A.entries if isinstance(A, StructureMatrix) else A
+    n = len(R)
+    rows = []
+    for i, j in rb_pairs(n):
+        ai, aj, rji, rij = a[i], a[j], R[j][i], R[i][j]
+        if i == j:
+            v = [rji * ai[m] + rij * aj[m] + weight * ai[m] for m in range(n)]
+        else:
+            v = [rji * ai[m] + rij * aj[m] for m in range(n)]
         for k in range(n):
-            out[k] += c * rows[m][k]
-    return AlgebraElement(tuple(out))
+            # d/dR_pq: through rows i and j in P(e_i)P(e_j), through R_ji and
+            # R_ij in the argument v, and through column k in P(v)
+            d = [0j] * (n * n)
+            for q in range(n):
+                d[n * i + q] += R[j][q] * a[q][k]
+                d[n * j + q] += R[i][q] * a[q][k]
+            d[n * j + i] -= _column_sum(ai, R, k)
+            d[n * i + j] -= _column_sum(aj, R, k)
+            for p in range(n):
+                d[n * p + k] -= v[p]
+            rows.append(d)
+    return np.array(rows, dtype=complex)
+
+
+def _checked_components(A: StructureMatrix, rows, weight) -> list:
+    n = A.dim
+    rows = tuple(tuple(complex(z) for z in r) for r in rows)
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DimensionMismatchError(f"operator is not {n}x{n} like the algebra")
+    for z in (z for r in rows for z in r):
+        _check_finite(z, "operator entry")
+    comps = rb_components(A.entries, rows, weight)
+    for z in comps:
+        _check_finite(z, "residual component")
+    return comps
 
 
 def rb_residual_general(A: StructureMatrix, rows, weight: complex):
@@ -190,35 +265,19 @@ def rb_residual_general(A: StructureMatrix, rows, weight: complex):
     Returns an n x n grid of coordinate tuples; entry (i,j) is
     P(e_i)P(e_j) - P(e_i P(e_j) + P(e_i) e_j + weight e_i e_j).  Pairs are
     evaluated for i <= j and mirrored, which keeps the grid symmetric and
-    bit-reproducible.
+    bit-reproducible.  Raises DimensionMismatchError on a wrong operator
+    shape and ValueError on a non-finite operator entry or residual.
     """
     n = A.dim
-    rows = tuple(tuple(complex(z) for z in r) for r in rows)
-    if len(rows) != n:
-        raise DimensionMismatchError(f"operator dim {len(rows)} does not match algebra dim {n}")
-    pe = [AlgebraElement(rows[i]) for i in range(n)]
-    basis = [AlgebraElement.basis(i, n) for i in range(n)]
-    grid: list[list[tuple[complex, ...]]] = [[None] * n for _ in range(n)]  # type: ignore
-    for i in range(n):
-        for j in range(i, n):
-            lhs = multiply(A, pe[i], pe[j])
-            t1 = multiply(A, basis[i], pe[j])
-            t2 = multiply(A, pe[i], basis[j])
-            t3 = multiply(A, basis[i], basis[j])
-            arg = AlgebraElement(
-                tuple(a + b + weight * c for a, b, c in zip(t1.coords, t2.coords, t3.coords))
-            )
-            rhs = apply_operator(rows, arg)
-            res = tuple(l - r for l, r in zip(lhs.coords, rhs.coords))
-            grid[i][j] = res
-            grid[j][i] = res
+    comps = _checked_components(A, rows, weight)
+    grid: list[list] = [[None] * n for _ in range(n)]
+    for p, (i, j) in enumerate(rb_pairs(n)):
+        grid[i][j] = grid[j][i] = tuple(comps[p * n:(p + 1) * n])
     return tuple(tuple(row) for row in grid)
 
 
 def rb_residual(A: StructureMatrix, R: RotaBaxterOperator):
     """Rota-Baxter residual grid for a weight-0/1 operator; see rb_residual_general."""
-    if R.dim != A.dim:
-        raise DimensionMismatchError(f"operator dim {R.dim} does not match algebra dim {A.dim}")
     return rb_residual_general(A, R.entries, R.weight)
 
 
@@ -228,13 +287,11 @@ def rb_residual_norm(A: StructureMatrix, R: RotaBaxterOperator) -> float:
     Zero exactly when R satisfies the identity; max (not Frobenius) so a
     single violated equation cannot be averaged away.
     """
-    grid = rb_residual(A, R)
-    return max(abs(z) for row in grid for vec in row for z in vec)
+    return rb_residual_norm_general(A, R.entries, R.weight)
 
 
 def rb_residual_norm_general(A: StructureMatrix, rows, weight: complex) -> float:
-    grid = rb_residual_general(A, rows, weight)
-    return max(abs(z) for row in grid for vec in row for z in vec)
+    return max(abs(z) for z in _checked_components(A, rows, weight))
 
 
 # --- matrix file format -----------------------------------------------------

@@ -76,18 +76,6 @@ def levenberg_marquardt(
     return x, r, bool(np.max(np.abs(r)) <= stop_norm)
 
 
-def cvec_to_real(z: np.ndarray) -> np.ndarray:
-    """Interleave a complex vector as [re0, im0, re1, im1, ...]."""
-    out = np.empty(2 * len(z))
-    out[0::2] = np.real(z)
-    out[1::2] = np.imag(z)
-    return out
-
-
-def real_to_cvec(x: np.ndarray) -> np.ndarray:
-    return x[0::2] + 1j * x[1::2]
-
-
 def complex_jacobian_to_real(dF: np.ndarray) -> np.ndarray:
     """Expand a complex Jacobian dF/dz (m x n) to the real (2m x 2n) Jacobian
     of the interleaved real system, assuming F is complex-analytic in z."""

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COMPLEX, EvoalgError, StructureMatrix, rb_residual_norm_general
+from .core import (COMPLEX, EvoalgError, StructureMatrix, rb_components, rb_jacobian,
+                   rb_pairs, rb_residual_norm_general)
 from .classify2d import AlgebraClass, canonical_matrix
 from .numerics import complex_jacobian_to_real, levenberg_marquardt
 from .polys import Poly
@@ -547,6 +548,8 @@ def verify_family(fam: RboFamily, param_samples: int = 200, seed: int = 0,
     """Sample the family's free parameters and check the Rota-Baxter residual
     of every instantiation; isolated matrices are checked once at the exact
     (1e-12) bound."""
+    if param_samples < 1:
+        raise ValueError("param_samples must be >= 1")
     rng = random.Random((seed * 1_000_003) ^ zlib.crc32(fam.family_id.encode()))
     if fam.isolated:
         checked = 0
@@ -637,49 +640,6 @@ def verify_exclusions(samples: int = 10, seed: int = 0, tol: float = 1e-12):
 # --- numeric search --------------------------------------------------------------
 
 
-def _rb_components(A, R, lam):
-    """Six complex residual components over pairs (1,1), (2,2), (1,2)."""
-    comps = []
-    for (i, j) in ((0, 0), (1, 1), (0, 1)):
-        extra = lam if i == j else 0.0
-        v0 = R[j][i] * A[i][0] + R[i][j] * A[j][0] + extra * A[i][0]
-        v1 = R[j][i] * A[i][1] + R[i][j] * A[j][1] + extra * A[i][1]
-        for k in (0, 1):
-            lhs = R[i][0] * R[j][0] * A[0][k] + R[i][1] * R[j][1] * A[1][k]
-            rhs = v0 * R[0][k] + v1 * R[1][k]
-            comps.append(lhs - rhs)
-    return comps
-
-
-def rb_jacobian(A: StructureMatrix, R, weight) -> np.ndarray:
-    """Analytic complex Jacobian of the six residual components with respect
-    to the operator entries (columns ordered R00, R01, R10, R11)."""
-    a = A.entries if isinstance(A, StructureMatrix) else A
-    J = np.zeros((6, 4), dtype=complex)
-    row = 0
-    for (i, j) in ((0, 0), (1, 1), (0, 1)):
-        extra = weight if i == j else 0.0
-        v = [R[j][i] * a[i][m] + R[i][j] * a[j][m] + extra * a[i][m] for m in (0, 1)]
-        for k in (0, 1):
-            for p in (0, 1):
-                for q in (0, 1):
-                    col = 2 * p + q
-                    val = 0j
-                    if p == i:
-                        val += R[j][q] * a[q][k]
-                    if p == j:
-                        val += R[i][q] * a[q][k]
-                    if (p, q) == (j, i):
-                        val -= a[i][0] * R[0][k] + a[i][1] * R[1][k]
-                    if (p, q) == (i, j):
-                        val -= a[j][0] * R[0][k] + a[j][1] * R[1][k]
-                    if q == k:
-                        val -= v[p]
-                    J[row, col] = val
-            row += 1
-    return J
-
-
 @dataclass(frozen=True)
 class SearchPoint:
     matrix: tuple
@@ -699,15 +659,12 @@ def search(A: StructureMatrix, weight: int, starts: int = 500, seed: int = 0,
     rng = random.Random(seed)
 
     def unpack(x):
-        return ((complex(x[0], x[1]), complex(x[2], x[3])),
-                (complex(x[4], x[5]), complex(x[6], x[7])))
+        z = x.view(complex).tolist()  # (re, im) pairs read as complex, bit for bit
+        return ((z[0], z[1]), (z[2], z[3]))
 
     def residual(x):
-        comps = _rb_components(a, unpack(x), weight)
-        out = np.empty(12)
-        out[0::2] = [z.real for z in comps]
-        out[1::2] = [z.imag for z in comps]
-        return out
+        # complex128 viewed as float64 interleaves (re, im) per component
+        return np.array(rb_components(a, unpack(x), weight)).view(float)
 
     def jacobian(x):
         return complex_jacobian_to_real(rb_jacobian(a, unpack(x), weight))
@@ -858,29 +815,15 @@ def derive_system(A, weight: int, tol: float = 1e-12) -> DerivedSystem:
 
     a = [[lift(entries[i][j]) for j in range(n)] for i in range(n)]
     R = [[Poly.var(variables, rvar[i][j]) for j in range(n)] for i in range(n)]
-    lam = Poly.const(variables, weight)
-
+    labels = [((i + 1, j + 1), k + 1) for i, j in rb_pairs(n) for k in range(n)]
     eqs = []
     tauts = []
-    for i in range(n):
-        for j in range(i, n):
-            # v = coordinates of e_i P(e_j) + P(e_i) e_j + weight e_i e_j
-            v = []
-            for m in range(n):
-                term = R[j][i] * a[i][m] + R[i][j] * a[j][m]
-                if i == j:
-                    term = term + lam * a[i][m]
-                v.append(term)
-            for k in range(n):
-                lhs = Poly.const(variables, 0.0)
-                for m in range(n):
-                    lhs = lhs + R[i][m] * R[j][m] * a[m][k]
-                rhs = Poly.const(variables, 0.0)
-                for m in range(n):
-                    rhs = rhs + v[m] * R[m][k]
-                poly = (lhs - rhs).sign_normalized(tol)
-                if poly.is_zero(tol):
-                    tauts.append(((i + 1, j + 1), k + 1))
-                else:
-                    eqs.append(SystemEquation((i + 1, j + 1), k + 1, poly))
+    # lexicographic (pair, coordinate) order
+    for (pair, coord), comp in sorted(zip(labels, rb_components(a, R, weight)),
+                                      key=lambda item: item[0]):
+        poly = comp.sign_normalized(tol)
+        if poly.is_zero(tol):
+            tauts.append((pair, coord))
+        else:
+            eqs.append(SystemEquation(pair, coord, poly))
     return DerivedSystem(n, weight, tuple(variables), tuple(eqs), tuple(tauts))

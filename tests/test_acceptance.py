@@ -23,10 +23,10 @@ from evoalg.polys import parse_equation
 from evoalg.rotabaxter import (
     P_MINUS,
     P_PLUS,
-    _rb_components,
     algebra_matrix,
     catalog_rows,
     derive_system,
+    rb_components,
     rb_jacobian,
     search,
     symbolic_algebra,
@@ -312,7 +312,7 @@ def test_criterion_8_numerical_hygiene():
                         (complex(x[4], x[5]), complex(x[6], x[7])))
 
             def resid(x):
-                comps = _rb_components(A.entries, unpack(x), weight)
+                comps = rb_components(A.entries, unpack(x), weight)
                 out = np.empty(12)
                 out[0::2] = [z.real for z in comps]
                 out[1::2] = [z.imag for z in comps]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from evoalg.cli import main
 
 
@@ -138,10 +140,42 @@ def test_rbo_systems_unknown(capsys):
     assert code == 1
 
 
-def test_jobs_validation(capsys, tmp_path):
-    m = write_matrix(tmp_path, "m.txt", "2\n0+0i 0+0i\n0+0i 0+0i\n")
-    code, _, err = run(capsys, "--jobs", "0", "classify", m)
+_M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "exp(t)"}}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["bogus"], None),
+    (["rbo", "search", "--algebra", "E2", "--weight", "7"], None),
+    (["rbo", "verify", "--weight", "5"], None),
+    (["rbo", "verify", "--weight", "abc"], None),
+    (["rbo", "verify", "--algebra", "E1", "--weight", "0", "--samples", "0"], None),
+    (["cea", "verify", "CONFIG", "--samples", "0"], _M1),
+    (["cea", "verify", "CONFIG"], [1]),
+    (["cea", "diagram", "CONFIG"], dict(_M1, window=5)),
+    (["cea", "verify", "CONFIG"], dict(_M1, seed=[1])),
+    (["cea", "verify", "CONFIG"], dict(_M1, functions={"rho": 5, "phi": "exp(t)"})),
+    (["cea", "verify", "CONFIG"], dict(_M1, functions=["rho"])),
+    (["cea", "verify", "CONFIG"], {"schema_version": 1, "family": "M2",
+                                   "functions": {"sigma": "s"}, "thresholds": {"a": "x"}}),
+], ids=["unknown-command", "search-weight-7", "verify-weight-5", "verify-weight-abc",
+        "rbo-verify-samples-0", "cea-verify-samples-0", "config-list", "config-window-int",
+        "config-seed-list", "config-function-int", "config-functions-list",
+        "config-threshold-str"])
+def test_input_errors_exit_1(capsys, tmp_path, argv, config):
+    # every bad input is reported on one error: line with exit 1, never a
+    # traceback or argparse's exit 2 (which would read as "unclassifiable")
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv = [str(path) if a == "CONFIG" else a for a in argv]
+    code, _, err = run(capsys, *argv)
     assert code == 1
+    assert "error:" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "usage:" in out
 
 
 def test_search_csv_deterministic(tmp_path, capsys):

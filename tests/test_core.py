@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoalg.core import (
     AlgebraElement,
@@ -13,15 +16,35 @@ from evoalg.core import (
     multiply,
     parse_complex,
     parse_matrix,
+    rb_components,
+    rb_pairs,
     rb_residual,
+    rb_residual_general,
     rb_residual_norm,
     rb_residual_norm_general,
 )
+from evoalg.rotabaxter import derive_system
 
 from conftest import brute_force_rb_residual, random_complex_matrix
 
 SM = StructureMatrix.from_rows
 E = AlgebraElement
+
+# entries from subnormal up to 1e6 in modulus
+entries = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+def square_matrices(n):
+    row = st.tuples(*[entries] * n)
+    return st.tuples(*[row] * n)
+
+
+def rb_term_scale(Ae, Re, weight):
+    """Bound on the terms summed in one residual component: n |A| |R| (3|R| + |w|)."""
+    n = len(Ae)
+    ma = max(abs(z) for row in Ae for z in row)
+    mr = max(abs(z) for row in Re for z in row)
+    return max(1.0, n * ma * mr * (3 * mr + abs(weight)))
 
 
 def test_multiply_idempotent_basis():
@@ -213,3 +236,61 @@ def test_nonfinite_rejected():
 def test_format_complex_roundtrip():
     for z in (1j, -0.5, complex(0.0015, -2), complex(-1.25, 3.5)):
         assert parse_complex(format_complex(z)) == z
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(square_matrices(n), square_matrices(n), entries)))
+@settings(max_examples=200, deadline=None)
+def test_rb_residual_matches_brute_force_any_dim_and_weight(case):
+    Ae, Re, weight = case
+    n = len(Ae)
+    grid = rb_residual_general(SM(Ae), Re, weight)
+    oracle = brute_force_rb_residual(Ae, Re, weight)
+    worst = max(abs(grid[i][j][k] - oracle[i][j][k])
+                for i in range(n) for j in range(n) for k in range(n))
+    assert worst <= 1e-12 * rb_term_scale(Ae, Re, weight)
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(square_matrices(n), square_matrices(n), st.integers(0, n * n - 1))),
+    st.sampled_from([math.nan, math.inf, -math.inf, complex(0, math.inf), complex(math.nan, 1)]))
+@settings(max_examples=60, deadline=None)
+def test_rb_residual_rejects_nonfinite_operator(case, bad):
+    # a NaN must never reach the max-norm, where it would compare as a pass
+    Ae, Re, pos = case
+    n = len(Ae)
+    rows = [list(r) for r in Re]
+    rows[pos // n][pos % n] = bad
+    with pytest.raises(ValueError):
+        rb_residual_general(SM(Ae), rows, 1)
+    with pytest.raises(ValueError):
+        rb_residual_norm_general(SM(Ae), rows, 0)
+
+
+def test_rb_residual_rejects_bad_shape_and_overflow():
+    A = SM([[1, 0], [1, 0]])
+    with pytest.raises(DimensionMismatchError):
+        rb_residual_norm_general(A, [[0, 0, 0]] * 3, 0)
+    with pytest.raises(DimensionMismatchError):
+        rb_residual_norm_general(A, [[0, 0], [0]], 0)
+    # finite entries whose products overflow give a non-finite residual
+    with pytest.raises(ValueError):
+        rb_residual_norm_general(A, [[1e200, 0], [0, 1e200]], 0)
+
+
+@given(square_matrices(3), square_matrices(3), st.sampled_from((0, 1)))
+@settings(max_examples=25, deadline=None)
+def test_derive_system_evaluates_to_rb_components(Ae, Re, weight):
+    system = derive_system(SM(Ae), weight, tol=0.0)
+    comps = rb_components(Ae, Re, weight)
+    index = {((i + 1, j + 1), k + 1): 3 * p + k
+             for p, (i, j) in enumerate(rb_pairs(3)) for k in range(3)}
+    values = {f"r{i + 1}{j + 1}": Re[i][j] for i in range(3) for j in range(3)}
+    tol = 1e-12 * rb_term_scale(Ae, Re, weight)
+    for eq in system.equations:
+        got = eq.poly.evaluate(values)
+        want = comps[index[(eq.pair, eq.coord)]]
+        # sign normalization may flip the equation
+        assert min(abs(got - want), abs(got + want)) <= tol
+    for pair, coord in system.tautologies:
+        assert abs(comps[index[(pair, coord)]]) <= tol

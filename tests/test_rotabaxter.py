@@ -12,12 +12,12 @@ from evoalg.rotabaxter import (
     P_MINUS,
     P_PLUS,
     UnknownAlgebraError,
-    _rb_components,
     algebra_matrix,
     catalog,
     catalog_rows,
     catalog_text,
     derive_system,
+    rb_components,
     rb_jacobian,
     search,
     symbolic_algebra,
@@ -73,6 +73,15 @@ def test_verify_family_spot_checks():
     fam = catalog("E1", 0)[0]
     R, ap = fam.instantiate({"b": 0j, "d": 0j})[0]
     assert rb_residual_norm_general(algebra_matrix("E1"), R, 0) == 0.0
+
+
+def test_verify_family_rejects_no_samples():
+    # no samples would check nothing and still pass, so it is refused,
+    # isolated rows included
+    for fam in (catalog("E2", 0)[0], _by_id(catalog("E2", 1), "w1:E2:half-plus")):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                verify_family(fam, param_samples=n)
 
 
 def test_case_d_admissible_point():
@@ -205,7 +214,7 @@ def test_rb_jacobian_matches_finite_differences():
                     (complex(x[4], x[5]), complex(x[6], x[7])))
 
         def resid(x):
-            comps = _rb_components(A.entries, unpack(x), weight)
+            comps = rb_components(A.entries, unpack(x), weight)
             out = np.empty(12)
             out[0::2] = [z.real for z in comps]
             out[1::2] = [z.imag for z in comps]
@@ -229,7 +238,7 @@ def test_derive_system_vs_residual_consistency():
         Re = random_complex_matrix(rng, 2)
         weight = rng.choice((0, 1))
         system = derive_system(StructureMatrix.from_rows(Ae), weight, tol=0.0)
-        comps = _rb_components(Ae, Re, weight)
+        comps = rb_components(Ae, Re, weight)
         values = {"a": Re[0][0], "b": Re[0][1], "c": Re[1][0], "d": Re[1][1],
                   "x": 0j, "y": 0j}
         order = {((1, 1), 1): 0, ((1, 1), 2): 1, ((2, 2), 1): 2, ((2, 2), 2): 3,
