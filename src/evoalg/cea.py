@@ -521,10 +521,14 @@ def property_diagram(spec: ChainFamilySpec, property_tag: str,
                      window, resolution, tol: float = 1e-9) -> PropertyDiagram:
     """Classify the family over a grid of cell centers.
 
+    `property_tag` is a key of CLASS_COLORS or "evolution-algebra";
     `window` is (smin, smax, tmin, tmax); `resolution` an int or (ns, nt)
     pair, at least 2 per axis.  Cells with s > t or uncovered by the family
     branches are labeled out_of_domain; evaluation errors are labeled error.
     """
+    if property_tag not in CLASS_COLORS and property_tag != "evolution-algebra":
+        raise ValueError(f"unknown property {property_tag!r}: use E0..E7, "
+                         f"{OUT_OF_DOMAIN}, {ERROR} or evolution-algebra")
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
     ns, nt = resolution
@@ -593,6 +597,12 @@ def load_config(path_or_text) -> dict:
         raise EvoalgError("config 'thresholds' must map names to numbers")
     spec = ChainFamilySpec.make(cfg["family"], functions, thresholds)
 
+    def integer(v):
+        # int() would truncate 1.7 to 1 and read true as 1
+        if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+            raise ValueError(v)
+        return int(v)
+
     def value(key, default, convert):
         try:
             return convert(cfg.get(key, default))
@@ -603,10 +613,11 @@ def load_config(path_or_text) -> dict:
         "spec": spec,
         "window": value("window", (0.0, 4.0, 0.0, 4.0), lambda v: tuple(float(x) for x in v)),
         "resolution": value("resolution", 64,
-                            lambda v: tuple(int(x) for x in v) if isinstance(v, list) else int(v)),
-        "seed": value("seed", 0, int),
+                            lambda v: tuple(integer(x) for x in v) if isinstance(v, list)
+                            else integer(v)),
+        "seed": value("seed", 0, integer),
         "tolerance": value("tolerance", 1e-9, float),
-        "samples": value("samples", 1000, int),
+        "samples": value("samples", 1000, integer),
         "t_max": value("t_max", 10.0, float),
         "property": cfg.get("property", "E4"),
     }

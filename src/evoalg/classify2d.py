@@ -12,10 +12,18 @@ and E6(a4) = [[0,1],[1,a4]].  E0 (the zero-product algebra) is admitted as a
 class although the nonzero canonical lists start at E1.
 
 The decision procedure: exact zero test, then rank of the structure matrix
-(dim E^2), then the exact E4 shape criterion, then a numeric isomorphism
-search against the remaining candidate canonical forms, with continuous
-parameters extracted by least-squares fit.  Witnesses are invertible basis
-changes with a quantified homomorphism residual.
+(dim E^2), then the exact E4 shape criterion.  Every remaining class is
+reached in closed form.  A rank-1 matrix factors as row_i = lam_i * w, and
+kappa = w.diag(lam).w and lam1*lam2 order the candidates E1, E2, E3 (and the
+real E5) and give each its basis change.  A rank-2 matrix has E5/E6 parameters
+x = a12*a22/a11^2, y = a21*a11/a22^2 when its diagonal is nonzero, and its
+E6/E7 parameter through cube roots of the off-diagonal product otherwise.
+Each closed-form basis change is checked as a witness; one that misses the
+bound gets a single Levenberg-Marquardt polish from it and is checked again.
+No other start is tried, so an input whose closed-form witnesses all fail is
+unclassifiable.  Continuous parameters are re-fitted by linear least squares
+on the accepted witness.  Witnesses are invertible basis changes with a
+quantified homomorphism residual.
 """
 
 from __future__ import annotations
@@ -428,12 +436,14 @@ def _start_E2(w, lam, kappa, real_mode):
 
 
 def _start_E5_real(w, lam, kappa):
+    # E5 is f1^2 = f2, f2^2 = -f2: f2 = -w/kappa, and f1 is orthogonal to w
+    # under diag(lam) with f1^2 = mu^2 * lam1*lam2 * kappa * w = f2
     ll = lam[0] * lam[1]
     if ll.real >= 0 or kappa == 0:
         return []
     mu = 1.0 / (kappa * math.sqrt(-ll.real))
-    u = (w[0] / kappa, w[1] / kappa)
-    v = (mu * w[1] * lam[1], -mu * w[0] * lam[0])
+    u = (mu * w[1] * lam[1], -mu * w[0] * lam[0])
+    v = (-w[0] / kappa, -w[1] / kappa)
     return _safe_inv_start((u, v))
 
 
@@ -461,22 +471,16 @@ def _e4_witness(A: StructureMatrix, shape: E4Shape):
 # --- classification -----------------------------------------------------------
 
 
-def classify(A: StructureMatrix, field: str | None = None, *, tol: float = DEFAULT_TOL,
-             seed: int = 0, starts: int = 200) -> AlgebraClass:
+def classify(A: StructureMatrix, field: str | None = None, *,
+             tol: float = DEFAULT_TOL) -> AlgebraClass:
     """Canonical class of a 2-dimensional evolution algebra."""
-    return classify_with_witness(A, field, tol=tol, seed=seed, starts=starts)[0]
+    return classify_with_witness(A, field, tol=tol)[0]
 
 
-def classify_with_witness(
-    A: StructureMatrix,
-    field: str | None = None,
-    *,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-    starts: int = 200,
-):
+def classify_with_witness(A: StructureMatrix, field: str | None = None, *,
+                          tol: float = DEFAULT_TOL):
     """Classify and also return the basis-change witness (None for the exact
-    E0/E4 decisions, which need no search)."""
+    E0 decision, which needs no basis change)."""
     if A.dim != 2:
         raise DimensionMismatchError(f"classification supports dimension 2 only, got {A.dim}")
     field = field or A.field
@@ -494,11 +498,11 @@ def classify_with_witness(
     scale = max(1.0, A.maxabs())
     det = _det2(A.entries)
     if abs(det) > tol * scale * scale:
-        return _classify_rank2(A, field, tol, seed, starts)
-    return _classify_rank1(A, field, tol, seed, starts)
+        return _classify_rank2(A, field, tol)
+    return _classify_rank1(A, field, tol)
 
 
-def _classify_rank1(A, field, tol, seed, starts):
+def _classify_rank1(A, field, tol):
     w, lam = _rank1_data(A, tol)
     scale = max(1.0, A.maxabs())
     kappa = w[0] * w[0] * lam[0] + w[1] * w[1] * lam[1]
@@ -520,7 +524,7 @@ def _classify_rank1(A, field, tol, seed, starts):
             else:
                 order = ["E5", "E2", "E1", "E3"]
         else:
-            order = ["E3", "E2", "E5", "E1"] if field == REAL else ["E3", "E2", "E1"]
+            order = ["E3", "E2", "E5", "E1"]
 
     builders = {
         "E1": lambda: _start_E1(w, lam, kappa, tol),
@@ -529,13 +533,15 @@ def _classify_rank1(A, field, tol, seed, starts):
         "E5": lambda: _start_E5_real(w, lam, kappa),
     }
     for tag in order:
+        closed = builders[tag]()
+        if not closed:
+            continue
         B = canonical_matrix(AlgebraClass(field, tag))
-        witness = find_isomorphism(A, B, starts=starts, seed=seed,
-                                   extra_starts=builders[tag]())
+        witness = find_isomorphism(A, B, starts=len(closed), extra_starts=closed)
         if witness is not None:
             return AlgebraClass(field, tag), witness
     raise UnclassifiableError(
-        "no rank-1 canonical form matched within the multi-start budget; "
+        "no rank-1 canonical form matched its closed-form witness; "
         "the input is numerically degenerate"
     )
 
@@ -553,34 +559,27 @@ def _param_probes(field, tag, n):
     return base, probes
 
 
-def _param_derivatives(A, field, tag, n, T):
-    """Homomorphism components at the zero-parameter form, and their
-    derivative in each of the n canonical parameters.  The components are
-    img - mult_B and mult is linear in B, so the derivative in parameter r
-    is mult_base - mult_probe = hom(probe) - hom(base)."""
-    base, probes = _param_probes(field, tag, n)
-    r0 = np.array(_hom_components(A, base, T))
-    return r0, [np.array(_hom_components(A, probe, T)) - r0 for probe in probes]
-
-
 def _refit_params(A, field, tag, T, params):
     """Given a witness T, re-fit the canonical parameters by linear least
-    squares on the homomorphism residual (the residual is linear in them)."""
-    r0, cols = _param_derivatives(A, field, tag, len(params), T)
-    M = -np.column_stack(cols)
+    squares on the homomorphism residual.  The components are img - mult_B
+    and mult is linear in B, so the derivative in parameter r is
+    mult_base - mult_probe = hom(probe) - hom(base)."""
+    base, probes = _param_probes(field, tag, len(params))
+    r0 = np.array(_hom_components(A, base, T))
+    M = -np.column_stack([np.array(_hom_components(A, probe, T)) - r0 for probe in probes])
     sol, *_ = np.linalg.lstsq(M, r0, rcond=None)
     if field == REAL:
         sol = sol.real
     return tuple(complex(z) for z in sol)
 
 
-def _finish_rank2(A, field, tag, reps, tol, seed, starts):
+def _finish_rank2(A, field, tag, reps):
     """reps: list of (params, start_T) candidates covering the parameter
     equivalences; tries the lexicographically smallest representative first."""
     key = lambda item: tuple(v for p in item[0] for v in _lex_key(p))
     for params, T0 in sorted(reps, key=key):
         B = canonical_matrix(AlgebraClass(field, tag, params))
-        witness = find_isomorphism(A, B, starts=starts, seed=seed, extra_starts=[T0])
+        witness = find_isomorphism(A, B, starts=1, extra_starts=[T0])
         if witness is None:
             continue
         fitted = _refit_params(A, field, tag, witness.entries, params)
@@ -592,22 +591,19 @@ def _finish_rank2(A, field, tag, reps, tol, seed, starts):
     return None
 
 
-def _classify_rank2(A, field, tol, seed, starts):
+def _classify_rank2(A, field, tol):
     (a11, a12), (a21, a22) = A.entries
     scale = max(1.0, A.maxabs())
     eps = tol * scale
-    diag_tag = "E5" if field == COMPLEX else "E6"
-    off_tag = "E6" if field == COMPLEX else "E7"
 
     if abs(a11) > eps and abs(a22) > eps:
+        tag = "E5" if field == COMPLEX else "E6"
         x = a12 * a22 / (a11 * a11)
         y = a21 * a11 / (a22 * a22)
         T0 = ((a11, 0j), (0j, a22))
         reps = [((x, y), T0), ((y, x), _col_swap(T0))]
-        got = _finish_rank2(A, field, diag_tag, reps, tol, seed, starts)
-        if got:
-            return got
     else:
+        tag = "E6" if field == COMPLEX else "E7"
         if abs(a11) <= eps:
             base = 1.0 / (a12 * a12 * a21)
             roots = _cube_roots(base, field)
@@ -630,17 +626,11 @@ def _classify_rank2(A, field, tol, seed, starts):
                 inv = _inv2(S)
                 if inv:
                     reps.append(((a4,), inv))
-        got = _finish_rank2(A, field, off_tag, reps, tol, seed, starts)
-        if got:
-            return got
-
-    # fallback: joint search over basis change and parameters
-    for tag in (diag_tag, off_tag):
-        got = _joint_rank2(A, field, tag, seed, starts)
-        if got:
-            return got
+    got = _finish_rank2(A, field, tag, reps)
+    if got:
+        return got
     raise UnclassifiableError(
-        "no rank-2 canonical form matched within the multi-start budget; "
+        "no rank-2 canonical form matched its closed-form witness; "
         "the input is numerically degenerate (e.g. 1 - a2*a3 near 0)"
     )
 
@@ -651,78 +641,3 @@ def _cube_roots(z: complex, field: str):
         return [complex(math.copysign(abs(r) ** (1.0 / 3.0), r))]
     principal = z ** (1.0 / 3.0)
     return [principal, principal * _OMEGA, principal * _OMEGA * _OMEGA]
-
-
-def _joint_rank2(A, field, tag, seed, starts):
-    """Levenberg-Marquardt over the basis change and the canonical parameters
-    together; robustness fallback for degenerate-looking inputs."""
-    complex_mode = field == COMPLEX
-    np_ = n_params(field, tag)
-    t_dof = 8 if complex_mode else 4
-    p_dof = (2 if complex_mode else 1) * np_
-    dof = t_dof + p_dof
-
-    def split(xv):
-        T = _unpack(xv[:t_dof], complex_mode)
-        if complex_mode:
-            params = tuple(complex(xv[t_dof + 2 * r], xv[t_dof + 2 * r + 1]) for r in range(np_))
-        else:
-            params = tuple(complex(xv[t_dof + r]) for r in range(np_))
-        return T, params
-
-    def build_B(params):
-        return canonical_matrix(AlgebraClass(field, tag, params))
-
-    def residual(xv):
-        T, params = split(xv)
-        return _residual_vec(A, build_B(params), T, complex_mode)
-
-    def jacobian(xv):
-        T, params = split(xv)
-        B = build_B(params)
-        J = _jacobian_vec(A, B, T, complex_mode)
-        _, cols = _param_derivatives(A, field, tag, np_, T)
-        m = J.shape[0]
-        Jp = np.zeros((m, p_dof))
-        for r, col in enumerate(cols):
-            if complex_mode:
-                block = complex_jacobian_to_real(col.reshape(-1, 1))
-                Jp[: 2 * len(col), 2 * r : 2 * r + 2] = block
-            else:
-                Jp[: len(col), r] = np.real(col)
-        return np.hstack([J, Jp])
-
-    stop = math.sqrt(ISO_TOL / 12.0) * 0.5
-    for i in range(1, starts + 1):
-        x0 = halton_box(i + seed * 104729, dof, -3.0, 3.0)
-        x, _, _ = levenberg_marquardt(residual, jacobian, x0, stop_norm=stop)
-        T, params = split(x)
-        B = build_B(params)
-        if abs(_det2(T)) > DET_TOL and homomorphism_residual(A, B, T) < ISO_TOL:
-            if tag in ("E5",) or (field == REAL and tag == "E6"):
-                if abs(1 - params[0] * params[1]) <= DEFAULT_TOL:
-                    continue
-            canon = canonicalize_params(field, tag, params)
-            T = _compose_param_equivalence(field, tag, params, canon, T)
-            Bc = canonical_matrix(AlgebraClass(field, tag, canon))
-            w = find_isomorphism(A, Bc, starts=8, seed=seed, extra_starts=[T])
-            if w is not None:
-                return AlgebraClass(field, tag, canon), w
-    return None
-
-
-def _compose_param_equivalence(field, tag, params, canon, T):
-    """Adjust a witness onto the canonical parameter representative: swap the
-    target coordinates for the pair equivalence, or rescale them by
-    (z, z^2) with z the cube root of unity rotating a4 onto its
-    representative."""
-    if max(abs(p - q) for p, q in zip(params, canon)) < 1e-9:
-        return T
-    if (field == COMPLEX and tag == "E5") or (field == REAL and tag == "E6"):
-        return _col_swap(T)
-    if field == COMPLEX and tag == "E6":
-        zeta = min((1.0 + 0j, _OMEGA, _OMEGA * _OMEGA),
-                   key=lambda z: abs(z * params[0] - canon[0]))
-        return ((T[0][0] * zeta, T[0][1] * zeta * zeta),
-                (T[1][0] * zeta, T[1][1] * zeta * zeta))
-    return T

@@ -99,8 +99,7 @@ def cmd_classify(args) -> int:
               file=sys.stderr)
         return INPUT_ERROR
     try:
-        cls, witness = classify_with_witness(A, args.field, tol=_resolve(args.tol, 1e-9),
-                                             seed=_resolve(args.seed, 0))
+        cls, witness = classify_with_witness(A, args.field, tol=_resolve(args.tol, 1e-9))
     except UnclassifiableError as e:
         print(f"unclassifiable: {e}", file=sys.stderr)
         return UNCLASSIFIABLE
@@ -191,11 +190,11 @@ def cmd_rbo_search(args) -> int:
             A = StructureMatrix.zero(2, COMPLEX)
         else:
             A = canonical_matrix(AlgebraClass(COMPLEX, args.algebra, params))
+        points = rbo_mod.search(A, args.weight, starts=args.starts,
+                                seed=_resolve(args.seed, 0), tol=_resolve(args.tol, 1e-9))
     except (ValueError, EvoalgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
-    points = rbo_mod.search(A, args.weight, starts=args.starts,
-                            seed=_resolve(args.seed, 0), tol=_resolve(args.tol, 1e-9))
     lines = ["r11,r12,r21,r22,residual,annotation"]
     for pt in points:
         (r11, r12), (r21, r22) = pt.matrix

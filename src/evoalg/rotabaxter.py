@@ -652,9 +652,12 @@ def search(A: StructureMatrix, weight: int, starts: int = 500, seed: int = 0,
     """Multi-start root finding on the Rota-Baxter residual over the 8 real
     unknowns of R.  Converged points are deduplicated (1e-5 clusters keep
     their lowest-residual member) and annotated with the catalog family they
-    lie on, "trivial-zero" for the zero map, or "uncataloged"."""
+    lie on, "trivial-zero" for the zero map, or "uncataloged".  Raises
+    ValueError for fewer than one start."""
     if A.dim != 2:
         raise EvoalgError("search supports dimension 2 only")
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
     a = A.entries
     rng = random.Random(seed)
 

@@ -228,7 +228,72 @@ def test_unclassifiable_near_degenerate():
     # rank-1 with a stray off-pattern entry: neither the exact E4 shape nor
     # any of E1/E2/E3 within the residual bound
     with pytest.raises(UnclassifiableError):
-        classify(SM([[0, 3], [1e-12, 0]]), "complex", starts=12)
+        classify(SM([[0, 3], [1e-12, 0]]), "complex")
+
+
+def _canonical_orbit(cls, rng, n=6):
+    """The canonical matrix of cls and n rescaled, permuted images of it."""
+    A = canonical_matrix(cls)
+    out = [A]
+    for _ in range(n):
+        if cls.field == "complex":
+            scales = (_rand_nonzero(rng), _rand_nonzero(rng))
+        else:
+            scales = tuple(math.copysign(rng.uniform(0.4, 2.0), rng.choice((-1, 1)))
+                           for _ in range(2))
+        out.append(rescale_permute(A, scales, rng.choice(((0, 1), (1, 0)))))
+    return out
+
+
+def test_rank1_closed_form_start_is_a_witness(monkeypatch):
+    # each rank-1 class is reached by its closed-form basis change as it
+    # stands, so no Levenberg-Marquardt polish may run
+    import evoalg.classify2d as c2d
+
+    def no_polish(*args, **kwargs):
+        raise AssertionError("closed-form start needed a polish")
+
+    monkeypatch.setattr(c2d, "levenberg_marquardt", no_polish)
+    rng = random.Random(12)
+    pool = [AlgebraClass(field, tag) for field in ("complex", "real")
+            for tag in ("E1", "E2", "E3")] + [AlgebraClass("real", "E5")]
+    for cls in pool:
+        for A in _canonical_orbit(cls, rng):
+            assert classify(A, cls.field).tag == cls.tag, (cls, A.entries)
+
+
+def test_classification_never_reaches_the_multi_start(monkeypatch):
+    # classification tries closed-form witnesses only; the Halton starts of
+    # find_isomorphism are never drawn, on success or on failure
+    import evoalg.classify2d as c2d
+
+    def no_multi_start(*args, **kwargs):
+        raise AssertionError("classification reached the multi-start")
+
+    monkeypatch.setattr(c2d, "halton_box", no_multi_start)
+    rng = random.Random(13)
+    pool = [
+        AlgebraClass("complex", "E0"), AlgebraClass("complex", "E1"),
+        AlgebraClass("complex", "E2"), AlgebraClass("complex", "E3"),
+        AlgebraClass("complex", "E4"), AlgebraClass("complex", "E5", (0.3 - 0.2j, 1.1)),
+        AlgebraClass("complex", "E6", (0.9 + 0.4j,)), AlgebraClass("complex", "E6", (0,)),
+        AlgebraClass("real", "E0"), AlgebraClass("real", "E1"), AlgebraClass("real", "E2"),
+        AlgebraClass("real", "E3"), AlgebraClass("real", "E4"), AlgebraClass("real", "E5"),
+        AlgebraClass("real", "E6", (0.5, -0.8)), AlgebraClass("real", "E7", (-1.2,)),
+        AlgebraClass("real", "E7", (0,)),
+    ]
+    for cls in pool:
+        for A in _canonical_orbit(cls, rng):
+            assert classify(A, cls.field).tag == cls.tag, (cls, A.entries)
+    # near-degenerate inputs, among them the two kinds of the classify-edge
+    # benchmark: a stray lower entry over C and a stray diagonal entry over R
+    for rows, field in (([[0, 3], [1e-12, 0]], "complex"),
+                        ([[0, 1.3 + 0.4j], [3e-12 - 1e-12j, 0]], "complex"),
+                        ([[2e-12, -1.7], [0, 0]], "real")):
+        try:
+            classify(SM(rows, field), field)
+        except UnclassifiableError:
+            pass
 
 
 def test_basis_change_rejects_singular():
@@ -255,28 +320,6 @@ def test_classify_wrong_dimension():
 
     with pytest.raises(DimensionMismatchError):
         classify(SM([[1]]), "complex")
-
-
-def test_joint_rank2_fallback():
-    # the joint basis-change-plus-parameters search must also stand on its
-    # own (it backs up the closed-form route on awkward inputs)
-    from evoalg.classify2d import _joint_rank2
-
-    cases = [
-        ("complex", "E5", (0.3, -0.5), (1.2 - 0.3j, 0.8), (1, 0)),
-        ("complex", "E6", (0.6,), (1.1, 0.9 + 0.2j), (0, 1)),
-        ("real", "E6", (0.4, -0.7), (1.3, 0.6), (1, 0)),
-        ("real", "E7", (1.7,), (0.7, 1.4), (0, 1)),
-    ]
-    for field, tag, params, scales, perm in cases:
-        A = rescale_permute(canonical_matrix(AlgebraClass(field, tag, params)), scales, perm)
-        got = _joint_rank2(A, field, tag, seed=0, starts=150)
-        assert got is not None, (field, tag)
-        cls, w = got
-        assert cls.tag == tag
-        expect = canonicalize_params(field, tag, params)
-        assert max(abs(p - q) for p, q in zip(cls.params, expect)) < 1e-6
-        assert homomorphism_residual(A, canonical_matrix(cls), w.entries) < 1e-18
 
 
 def test_classify_invariant_under_general_natural_basis_change():
@@ -343,7 +386,7 @@ def test_classify_never_wrong_across_scales():
             m = 10.0 ** logm
             A = rescale_permute(A0, (m * rng.uniform(0.5, 2.0), m * rng.uniform(0.5, 2.0)))
             try:
-                assert classify(A, "complex", starts=30).tag == tag
+                assert classify(A, "complex").tag == tag
             except UnclassifiableError:
                 unclassifiable += 1
     assert unclassifiable > 0  # the envelope is real, and it fails loudly
