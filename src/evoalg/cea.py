@@ -202,9 +202,10 @@ def _mat2mul(P, Q):
     )
 
 
-def sample_triples(samples: int, seed: int, t_max: float = 10.0, eps: float = 1e-3):
+def sample_triples(samples: int, seed: int, t_max: float = 10.0):
     """Seeded triples s < tau < t: s ~ U(0.1, t_max/3), tau ~ U(s+eps,
-    2 t_max/3), t ~ U(tau+eps, t_max)."""
+    2 t_max/3), t ~ U(tau+eps, t_max), with eps = 1e-3."""
+    eps = 1e-3
     rng = random.Random(seed)
     out = []
     for _ in range(samples):
@@ -496,7 +497,8 @@ class PropertyDiagram:
             lines.append(f"{s!r},{t!r},{self.cells[j][i]}")
         return "\n".join(lines) + "\n"
 
-    def to_svg(self, cell_px: int = 8) -> str:
+    def to_svg(self) -> str:
+        cell_px = 8
         ns, nt = self.resolution
         w, h = ns * cell_px, nt * cell_px
         out = [

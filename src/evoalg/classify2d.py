@@ -21,15 +21,14 @@ E6/E7 parameter through cube roots of the off-diagonal product otherwise.
 Each closed-form basis change is checked as a witness; one that misses the
 bound gets a single Levenberg-Marquardt polish from it and is checked again.
 No other start is tried, so an input whose closed-form witnesses all fail is
-unclassifiable.  Continuous parameters are re-fitted by linear least squares
-on the accepted witness.  Witnesses are invertible basis changes with a
+unclassifiable.  The reported parameters are the closed-form ones the
+witness was checked against.  Witnesses are invertible basis changes with a
 quantified homomorphism residual.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -316,18 +315,16 @@ def find_isomorphism(
     B: StructureMatrix,
     *,
     starts: int = 200,
-    seed: int = 0,
-    tol: float = ISO_TOL,
     extra_starts=(),
 ):
     """Search for an algebra isomorphism from A onto B.
 
     Returns a BasisChange T whose homomorphism residual (sum of squared
-    coordinates over basis pairs) is below tol, or None once the multi-start
-    budget is exhausted.  Starts run in a fixed order: caller-provided
-    closed-form guesses, identity and swap, then a Halton grid in the box
-    [-3, 3] per real coordinate; the first start reaching the bound wins,
-    which makes the result independent of any batching.
+    coordinates over basis pairs) is below ISO_TOL, or None once the
+    multi-start budget is exhausted.  Starts run in a fixed order:
+    caller-provided closed-form guesses, identity and swap, then a Halton
+    grid in the box [-3, 3] per real coordinate; the first start reaching the
+    bound wins, which makes the result independent of any batching.
     """
     if A.dim != 2 or B.dim != 2:
         raise DimensionMismatchError("isomorphism search supports dimension 2 only")
@@ -349,19 +346,19 @@ def find_isomorphism(
         yield _pack(((0, 1), (1, 0)), complex_mode)
         i = 1
         while True:
-            yield halton_box(i + seed * 7919, dof, -3.0, 3.0)
+            yield halton_box(i, dof, -3.0, 3.0)
             i += 1
 
-    stop = math.sqrt(tol / 12.0) * 0.5
+    stop = math.sqrt(ISO_TOL / 12.0) * 0.5
     for n, x0 in enumerate(start_points()):
         if n >= starts:
             break
         T = _unpack(x0, complex_mode)
-        if _accepts(A, B, T, tol):
+        if _accepts(A, B, T):
             return BasisChange(T)
         x, _, _ = levenberg_marquardt(residual, jacobian, x0, stop_norm=stop)
         T = _unpack(x, complex_mode)
-        if _accepts(A, B, T, tol):
+        if _accepts(A, B, T):
             return BasisChange(T)
     return None
 
@@ -369,11 +366,11 @@ def find_isomorphism(
 INV_TOL = 1e-9  # residual bound on the inverse witness
 
 
-def _accepts(A, B, T, tol) -> bool:
-    # A near-singular T can sit within tol of a genuine but non-invertible
+def _accepts(A, B, T) -> bool:
+    # A near-singular T can sit within ISO_TOL of a genuine but non-invertible
     # homomorphism; demanding that the inverse map is a homomorphism as well
     # rejects those (its residual blows up as 1/det).
-    if abs(_det2(T)) <= DET_TOL or homomorphism_residual(A, B, T) >= tol:
+    if abs(_det2(T)) <= DET_TOL or homomorphism_residual(A, B, T) >= ISO_TOL:
         return False
     return homomorphism_residual(B, A, _inv2(T)) < INV_TOL
 
@@ -550,44 +547,19 @@ def _col_swap(T):
     return ((T[0][1], T[0][0]), (T[1][1], T[1][0]))
 
 
-@functools.cache
-def _param_probes(field, tag, n):
-    """Canonical matrices at parameters 0 and at each unit vector (cached)."""
-    base = canonical_matrix(AlgebraClass(field, tag, (0,) * n))
-    probes = tuple(canonical_matrix(AlgebraClass(field, tag, (0,) * r + (1,) + (0,) * (n - 1 - r)))
-                   for r in range(n))
-    return base, probes
-
-
-def _refit_params(A, field, tag, T, params):
-    """Given a witness T, re-fit the canonical parameters by linear least
-    squares on the homomorphism residual.  The components are img - mult_B
-    and mult is linear in B, so the derivative in parameter r is
-    mult_base - mult_probe = hom(probe) - hom(base)."""
-    base, probes = _param_probes(field, tag, len(params))
-    r0 = np.array(_hom_components(A, base, T))
-    M = -np.column_stack([np.array(_hom_components(A, probe, T)) - r0 for probe in probes])
-    sol, *_ = np.linalg.lstsq(M, r0, rcond=None)
-    if field == REAL:
-        sol = sol.real
-    return tuple(complex(z) for z in sol)
-
-
 def _finish_rank2(A, field, tag, reps):
     """reps: list of (params, start_T) candidates covering the parameter
-    equivalences; tries the lexicographically smallest representative first."""
+    equivalences; tries the lexicographically smallest representative first.
+    The witness is polished onto B(params), so it verifies the closed-form
+    parameters themselves."""
     key = lambda item: tuple(v for p in item[0] for v in _lex_key(p))
     for params, T0 in sorted(reps, key=key):
         B = canonical_matrix(AlgebraClass(field, tag, params))
         witness = find_isomorphism(A, B, starts=1, extra_starts=[T0])
-        if witness is None:
-            continue
-        fitted = _refit_params(A, field, tag, witness.entries, params)
-        fitted = canonicalize_params(field, tag, fitted)
-        Bf = canonical_matrix(AlgebraClass(field, tag, fitted))
-        if homomorphism_residual(A, Bf, witness.entries) < ISO_TOL:
-            return AlgebraClass(field, tag, fitted), witness
-        return AlgebraClass(field, tag, params), witness
+        if witness is not None:
+            if field == REAL:
+                params = tuple(p.real for p in params)
+            return AlgebraClass(field, tag, params), witness
     return None
 
 

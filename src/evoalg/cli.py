@@ -17,7 +17,6 @@ from .core import (
     COMPLEX,
     REAL,
     EvoalgError,
-    MatrixFormatError,
     StructureMatrix,
     format_complex,
     read_matrix_file,
@@ -42,7 +41,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="seed for all sampling (default 0, or the config value)")
     p.add_argument("--tol", type=float, default=None,
-                   help="verification tolerance (default 1e-9, or the config value)")
+                   help="classify: structural zero tolerance; cea verify, rbo verify, "
+                        "rbo search: residual bound (default 1e-9, or the config value)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="classify a 2x2 structure matrix")
@@ -89,20 +89,12 @@ def _parse_params(text: str):
 
 
 def cmd_classify(args) -> int:
-    try:
-        A = read_matrix_file(args.matrix, args.field)
-    except (OSError, MatrixFormatError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    A = read_matrix_file(args.matrix, args.field)
     if A.dim != 2:
         print(f"error: classification needs a 2x2 matrix, got {A.dim}x{A.dim}",
               file=sys.stderr)
         return INPUT_ERROR
-    try:
-        cls, witness = classify_with_witness(A, args.field, tol=_resolve(args.tol, 1e-9))
-    except UnclassifiableError as e:
-        print(f"unclassifiable: {e}", file=sys.stderr)
-        return UNCLASSIFIABLE
+    cls, witness = classify_with_witness(A, args.field, tol=_resolve(args.tol, 1e-9))
     print(f"class: {cls.label()}")
     if witness is not None:
         rows = [" ".join(format_complex(z) for z in row) for row in witness.entries]
@@ -113,33 +105,21 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cea_verify(args) -> int:
-    try:
-        cfg = cea_mod.load_config(args.config)
-    except (OSError, EvoalgError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    cfg = cea_mod.load_config(args.config)
     samples = args.samples if args.samples is not None else cfg["samples"]
-    try:
-        report = cea_mod.verify_ck(cfg["spec"], samples=samples,
-                                   seed=_resolve(args.seed, cfg["seed"]),
-                                   tol=_resolve(args.tol, cfg["tolerance"]),
-                                   t_max=cfg["t_max"])
-    except (EvoalgError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    report = cea_mod.verify_ck(cfg["spec"], samples=samples,
+                               seed=_resolve(args.seed, cfg["seed"]),
+                               tol=_resolve(args.tol, cfg["tolerance"]),
+                               t_max=cfg["t_max"])
     print(f"chapman-kolmogorov {cfg['spec'].family}: {report.summary()}")
     return OK if report.passed else VERIFY_FAIL
 
 
 def cmd_cea_diagram(args) -> int:
-    try:
-        cfg = cea_mod.load_config(args.config)
-        prop = args.property or cfg["property"]
-        diagram = cea_mod.property_diagram(cfg["spec"], prop, cfg["window"],
-                                           cfg["resolution"], tol=cfg["tolerance"])
-    except (OSError, EvoalgError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    cfg = cea_mod.load_config(args.config)
+    prop = args.property or cfg["property"]
+    diagram = cea_mod.property_diagram(cfg["spec"], prop, cfg["window"],
+                                       cfg["resolution"], tol=cfg["tolerance"])
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "diagram.csv")
     svg_path = os.path.join(args.out, "diagram.svg")
@@ -158,16 +138,12 @@ def cmd_rbo_verify(args) -> int:
     algebras = ("E1", "E2", "E3", "E4", "E5", "E6") if args.algebra == "all" \
         else (args.algebra,)
     reports = []
-    try:
-        for w in weights:
-            for tag in algebras:
-                for fam in rbo_mod.catalog(tag, w):
-                    reports.append(rbo_mod.verify_family(
-                        fam, param_samples=args.samples, seed=_resolve(args.seed, 0),
-                        tol=_resolve(args.tol, 1e-9)))
-    except (rbo_mod.UnknownAlgebraError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    for w in weights:
+        for tag in algebras:
+            for fam in rbo_mod.catalog(tag, w):
+                reports.append(rbo_mod.verify_family(
+                    fam, param_samples=args.samples, seed=_resolve(args.seed, 0),
+                    tol=_resolve(args.tol, 1e-9)))
     for rep in reports:
         print(rep.summary())
     if args.out:
@@ -184,17 +160,13 @@ def cmd_rbo_verify(args) -> int:
 
 
 def cmd_rbo_search(args) -> int:
-    try:
-        params = _parse_params(args.params)
-        if args.algebra == "E0":
-            A = StructureMatrix.zero(2, COMPLEX)
-        else:
-            A = canonical_matrix(AlgebraClass(COMPLEX, args.algebra, params))
-        points = rbo_mod.search(A, args.weight, starts=args.starts,
-                                seed=_resolve(args.seed, 0), tol=_resolve(args.tol, 1e-9))
-    except (ValueError, EvoalgError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    params = _parse_params(args.params)
+    if args.algebra == "E0":
+        A = StructureMatrix.zero(2, COMPLEX)
+    else:
+        A = canonical_matrix(AlgebraClass(COMPLEX, args.algebra, params))
+    points = rbo_mod.search(A, args.weight, starts=args.starts,
+                            seed=_resolve(args.seed, 0), tol=_resolve(args.tol, 1e-9))
     lines = ["r11,r12,r21,r22,residual,annotation"]
     for pt in points:
         (r11, r12), (r21, r22) = pt.matrix
@@ -212,11 +184,7 @@ def cmd_rbo_search(args) -> int:
 
 
 def cmd_rbo_systems(args) -> int:
-    try:
-        sym = rbo_mod.symbolic_algebra(args.algebra)
-    except rbo_mod.UnknownAlgebraError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    sym = rbo_mod.symbolic_algebra(args.algebra)
     system = rbo_mod.derive_system(sym, args.weight)
     print(f"{args.algebra} weight {args.weight}: {len(system.equations)} equations "
           f"({len(system.tautologies)} tautologies dropped)")
@@ -232,14 +200,20 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, which here means "unclassifiable"
         return OK if e.code == 0 else INPUT_ERROR
     if args.command == "classify":
-        return cmd_classify(args)
-    if args.command == "cea":
-        return cmd_cea_verify(args) if args.cea_command == "verify" else cmd_cea_diagram(args)
-    if args.rbo_command == "verify":
-        return cmd_rbo_verify(args)
-    if args.rbo_command == "search":
-        return cmd_rbo_search(args)
-    return cmd_rbo_systems(args)
+        cmd = cmd_classify
+    elif args.command == "cea":
+        cmd = cmd_cea_verify if args.cea_command == "verify" else cmd_cea_diagram
+    else:
+        cmd = {"verify": cmd_rbo_verify, "search": cmd_rbo_search,
+               "systems": cmd_rbo_systems}[args.rbo_command]
+    try:
+        return cmd(args)
+    except UnclassifiableError as e:
+        print(f"unclassifiable: {e}", file=sys.stderr)
+        return UNCLASSIFIABLE
+    except (OSError, EvoalgError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

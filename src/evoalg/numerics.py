@@ -31,9 +31,7 @@ def levenberg_marquardt(
     x0,
     *,
     max_iter: int = 80,
-    lam0: float = 1e-3,
     stop_norm: float = 0.0,
-    step_tol: float = 1e-14,
 ):
     """Minimize sum(residual(x)**2) with Levenberg-Marquardt damping.
 
@@ -44,7 +42,7 @@ def levenberg_marquardt(
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
     cost = float(r @ r)
-    lam = lam0
+    lam = 1e-3
     for _ in range(max_iter):
         if np.max(np.abs(r)) <= stop_norm:
             return x, r, True
@@ -71,7 +69,7 @@ def levenberg_marquardt(
                 break
         if not accepted:
             break
-        if np.linalg.norm(step) < step_tol * (1.0 + np.linalg.norm(x)):
+        if np.linalg.norm(step) < 1e-14 * (1.0 + np.linalg.norm(x)):
             break
     return x, r, bool(np.max(np.abs(r)) <= stop_norm)
 

@@ -75,11 +75,12 @@ class RboFamily:
     def isolated(self) -> bool:
         return not self.free_params
 
-    def sample_params(self, rng: random.Random, max_tries: int = 200) -> dict:
-        """Draw admissible free parameters from the complex box [-2,2]^2."""
+    def sample_params(self, rng: random.Random) -> dict:
+        """Draw admissible free parameters from the complex box [-2,2]^2
+        (at most 200 draws)."""
         if not self.free_params:
             return {}
-        for _ in range(max_tries):
+        for _ in range(200):
             p = {
                 name: complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
                 for name in self.free_params
@@ -648,12 +649,13 @@ class SearchPoint:
 
 
 def search(A: StructureMatrix, weight: int, starts: int = 500, seed: int = 0,
-           tol: float = 1e-9, box: float = 2.0) -> list[SearchPoint]:
+           tol: float = 1e-9) -> list[SearchPoint]:
     """Multi-start root finding on the Rota-Baxter residual over the 8 real
-    unknowns of R.  Converged points are deduplicated (1e-5 clusters keep
-    their lowest-residual member) and annotated with the catalog family they
-    lie on, "trivial-zero" for the zero map, or "uncataloged".  Raises
-    ValueError for fewer than one start."""
+    unknowns of R, started uniformly in [-2, 2]^8.  Converged points are
+    deduplicated (1e-5 clusters keep their lowest-residual member) and
+    annotated with the catalog family they lie on, "trivial-zero" for the
+    zero map, or "uncataloged".  Raises ValueError for fewer than one
+    start."""
     if A.dim != 2:
         raise EvoalgError("search supports dimension 2 only")
     if starts < 1:
@@ -677,7 +679,7 @@ def search(A: StructureMatrix, weight: int, starts: int = 500, seed: int = 0,
     stop = min(tol * 1e-4, 1e-13)
     found = []
     for _ in range(starts):
-        x0 = np.array([rng.uniform(-box, box) for _ in range(8)])
+        x0 = np.array([rng.uniform(-2.0, 2.0) for _ in range(8)])
         x, r, ok = levenberg_marquardt(residual, jacobian, x0, stop_norm=stop,
                                        max_iter=160)
         res = float(np.max(np.abs(r)))
@@ -701,34 +703,37 @@ def search(A: StructureMatrix, weight: int, starts: int = 500, seed: int = 0,
 
 
 def _annotator(A: StructureMatrix, weight: int):
-    """Build the catalog-membership annotation function for search output."""
-    from .classify2d import UnclassifiableError, classify
+    """Build the catalog-membership annotation function for search output.
 
-    try:
-        cls = classify(A, COMPLEX)
-        tag, ap = cls.tag, cls.params
-        fams = catalog(tag, weight) if tag in ("E1", "E2", "E3", "E4", "E5", "E6") else []
-    except (UnclassifiableError, UnknownAlgebraError, EvoalgError):
-        fams = []
-        ap = ()
+    The catalog covers the canonical algebras only, so A is matched by its
+    canonical layout (E5 reads (a12, a21), E6 reads a22) and must equal the
+    tag's matrix exactly; any other A gets no catalog family."""
+    (_, a12), (a21, a22) = A.entries
+    layout = {"E5": (a12, a21), "E6": (a22,)}
+    fams, ap = [], ()
+    for tag in ("E1", "E2", "E3", "E4", "E5", "E6"):
+        params = layout.get(tag, ())
+        if algebra_matrix(tag, params).entries == A.entries:
+            fams, ap = catalog(tag, weight), params
+            break
 
     def norm(R):
         return max(abs(z) for row in R for z in row)
 
-    def annotate(R, match_tol=1e-6):
+    def annotate(R):
         for fam in fams:
             try:
                 cands = fam.candidate_matrices(ap, R)
-            except Exception:
+            except (ArithmeticError, ValueError):
                 continue
             for Rc, apc in cands:
                 if apc and (len(apc) != len(ap)
                             or max(abs(u - v) for u, v in zip(apc, ap)) > 1e-6):
                     continue
                 d = max(abs(R[i][j] - Rc[i][j]) for i in (0, 1) for j in (0, 1))
-                if d <= match_tol:
+                if d <= 1e-6:
                     return fam.family_id
-        if norm(R) <= match_tol:
+        if norm(R) <= 1e-6:
             return "trivial-zero"
         return "uncataloged"
 

@@ -296,6 +296,29 @@ def test_classification_never_reaches_the_multi_start(monkeypatch):
             pass
 
 
+def test_rank2_params_are_the_closed_form(monkeypatch):
+    # the parameters reported are the closed-form ones the witness was
+    # checked against, exactly; nothing re-fits them by least squares
+    import numpy as np
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("classification re-fitted its parameters")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    for field in ("complex", "real"):
+        assert classify(SM([[2, 3], [5, 7]], field), field).params == (10 / 49, 21 / 4)
+    rng = random.Random(14)
+    pool = [
+        AlgebraClass("complex", "E5", (0.3 - 0.2j, 1.1)),
+        AlgebraClass("complex", "E6", (0.9 + 0.4j,)), AlgebraClass("complex", "E6", (0,)),
+        AlgebraClass("real", "E6", (0.5, -0.8)), AlgebraClass("real", "E7", (-1.2,)),
+        AlgebraClass("real", "E7", (0,)),
+    ]
+    for cls in pool:
+        for A in _canonical_orbit(cls, rng):
+            assert classify_with_witness(A, cls.field)[0].tag == cls.tag, (cls, A.entries)
+
+
 def test_basis_change_rejects_singular():
     with pytest.raises(ValueError):
         BasisChange(((1, 1), (1, 1)))

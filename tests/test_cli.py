@@ -164,12 +164,18 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
     (["cea", "verify", "CONFIG"], dict(_M1, samples=2.9)),
     (["cea", "diagram", "CONFIG"], dict(_M1, resolution=4.9)),
     (["cea", "verify", "CONFIG"], dict(_M1, seed=True)),
+    (["cea", "diagram", "CONFIG", "--out", "CONFIG"], _M1),
+    (["rbo", "verify", "--algebra", "E1", "--weight", "0", "--samples", "1",
+      "--out", "no-such-dir/x.csv"], None),
+    (["rbo", "search", "--algebra", "E2", "--weight", "0", "--starts", "1",
+      "--out", "no-such-dir/x.csv"], None),
 ], ids=["unknown-command", "search-weight-7", "verify-weight-5", "verify-weight-abc",
         "rbo-verify-samples-0", "cea-verify-samples-0", "config-list", "config-window-int",
         "config-seed-list", "config-function-int", "config-functions-list",
         "config-threshold-str", "search-starts-0", "search-starts-neg",
         "diagram-property-E9", "config-seed-float", "config-samples-float",
-        "config-resolution-float", "config-seed-bool"])
+        "config-resolution-float", "config-seed-bool", "diagram-out-is-file",
+        "verify-out-missing-dir", "search-out-missing-dir"])
 def test_input_errors_exit_1(capsys, tmp_path, argv, config):
     # every bad input is reported on one error: line with exit 1, never a
     # traceback or argparse's exit 2 (which would read as "unclassifiable")

@@ -193,6 +193,18 @@ def test_search_e2_weight0_lines():
         assert p.annotation in ("w0:E2:plus", "w0:E2:minus", "trivial-zero")
 
 
+@pytest.mark.parametrize("tag, params", [("E5", (0.3, -0.7)), ("E5", (0.3, 0)),
+                                         ("E6", (0.5,))])
+def test_search_annotates_against_the_given_algebra(tag, params):
+    # solutions on a parametric canonical algebra are matched against the
+    # catalog at its own parameters, not at a reordered representative
+    families = {f.family_id for f in catalog(tag, 1)}
+    pts = search(algebra_matrix(tag, params), 1, starts=150, seed=0)
+    assert pts
+    for p in pts:
+        assert p.annotation in families | {"trivial-zero"}, (p.matrix, p.annotation)
+
+
 def test_search_deterministic():
     A = algebra_matrix("E3")
     p1 = search(A, 0, starts=60, seed=5)
