@@ -233,7 +233,9 @@ def verify_ck(spec, samples: int = 1000, seed: int = 0, tol: float = 1e-9,
             left = _mat2mul(mat(s, tau).entries, mat(tau, t).entries)
             right = mat(s, t).entries
         except EvoalgError as e:
-            raise type(e)(f"{e} [triple (s={s}, tau={tau}, t={t})]") from e
+            # name the triple in place: the error keeps its type and fields
+            e.args = (f"{e} [triple (s={s}, tau={tau}, t={t})]",)
+            raise
         v = max(abs(left[i][j] - right[i][j]) for i in range(2) for j in range(2))
         if v > worst:
             worst, worst_triple = v, (s, tau, t)
@@ -301,7 +303,8 @@ def verify_cantor(delta, equation: str = "cantor", samples: int = 1000, seed: in
             prod = delta(s, tau) * delta(tau, t)
             target = delta(s, t) if equation == "cantor" else 0.0
         except EvoalgError as e:
-            raise type(e)(f"{e} [triple (s={s}, tau={tau}, t={t})]") from e
+            e.args = (f"{e} [triple (s={s}, tau={tau}, t={t})]",)
+            raise
         v = abs(prod - target)
         if v > worst:
             worst, worst_triple = v, (s, tau, t)

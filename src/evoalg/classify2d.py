@@ -18,12 +18,14 @@ kappa = w.diag(lam).w and lam1*lam2 order the candidates E1, E2, E3 (and the
 real E5) and give each its basis change.  A rank-2 matrix has E5/E6 parameters
 x = a12*a22/a11^2, y = a21*a11/a22^2 when its diagonal is nonzero, and its
 E6/E7 parameter through cube roots of the off-diagonal product otherwise.
-Each closed-form basis change is checked as a witness; one that misses the
-bound gets a single Levenberg-Marquardt polish from it and is checked again.
-No other start is tried, so an input whose closed-form witnesses all fail is
-unclassifiable.  The reported parameters are the closed-form ones the
-witness was checked against.  Witnesses are invertible basis changes with a
-quantified homomorphism residual.
+Each closed-form basis change goes through find_isomorphism, the one
+check-and-polish step: it is accepted as a witness as it stands, or after a
+single Levenberg-Marquardt polish from it.  No other start is tried, so an
+input whose closed-form witnesses all fail is unclassifiable.  The reported
+parameters are the closed-form ones the witness was checked against.
+Witnesses are invertible basis changes with a quantified homomorphism
+residual.  Since the classification is a complete invariant, find_isomorphism
+between two arbitrary algebras composes their witnesses.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import COMPLEX, REAL, DimensionMismatchError, EvoalgError, StructureMatrix
-from .numerics import complex_jacobian_to_real, halton_box, levenberg_marquardt
+from .numerics import complex_jacobian_to_real, levenberg_marquardt
 
 DEFAULT_TOL = 1e-9           # absolute tolerance of exact-zero structural tests
 ISO_TOL = 1e-18              # acceptance bound on the squared homomorphism residual
@@ -114,18 +116,6 @@ def canonical_matrix(cls: AlgebraClass) -> StructureMatrix:
 def _lex_key(z: complex):
     # quantized first so representatives equal up to roundoff compare equal
     return (round(z.real, 9), round(z.imag, 9), z.real, z.imag)
-
-
-def canonicalize_params(field: str, tag: str, params) -> tuple[complex, ...]:
-    """Pick the lexicographically (re, im) smallest representative among
-    equivalent parameter tuples."""
-    params = tuple(complex(p) for p in params)
-    if (field == REAL and tag == "E6") or (field == COMPLEX and tag == "E5"):
-        return tuple(sorted(params, key=_lex_key))
-    if field == COMPLEX and tag == "E6":
-        orbit = [params[0], params[0] * _OMEGA, params[0] * _OMEGA * _OMEGA]
-        return (min(orbit, key=_lex_key),)
-    return params
 
 
 @dataclass(frozen=True)
@@ -225,7 +215,12 @@ def _inv2(t):
     return ((t[1][1] / d, -t[0][1] / d), (-t[1][0] / d, t[0][0] / d))
 
 
-# --- numeric isomorphism search -----------------------------------------------
+def _mul2(s, t):
+    return tuple(tuple(s[i][0] * t[0][k] + s[i][1] * t[1][k] for k in (0, 1))
+                 for i in (0, 1))
+
+
+# --- isomorphism check and polish --------------------------------------------
 
 _BARRIER_DELTA = DET_TOL**2  # barrier turns on when |det T|^2 falls below this
 
@@ -310,57 +305,45 @@ def _jacobian_vec(A, B, T, complex_mode: bool) -> np.ndarray:
     return J
 
 
-def find_isomorphism(
-    A: StructureMatrix,
-    B: StructureMatrix,
-    *,
-    starts: int = 200,
-    extra_starts=(),
-):
-    """Search for an algebra isomorphism from A onto B.
+def find_isomorphism(A: StructureMatrix, B: StructureMatrix, start=None):
+    """An algebra isomorphism from A onto B, or None.
 
-    Returns a BasisChange T whose homomorphism residual (sum of squared
-    coordinates over basis pairs) is below ISO_TOL, or None once the
-    multi-start budget is exhausted.  Starts run in a fixed order:
-    caller-provided closed-form guesses, identity and swap, then a Halton
-    grid in the box [-3, 3] per real coordinate; the first start reaching the
-    bound wins, which makes the result independent of any batching.
+    With a start (a 2x2 basis change, row i the image of e_i), the start is
+    accepted as it stands when it passes the witness check; otherwise one
+    Levenberg-Marquardt polish runs from it and the result is checked again.
+    Without a start, A and B are classified with their witnesses, and the
+    classification is a complete invariant: different tags give None, and the
+    start is T_A * T_B^-1 (the identity when both are E0).  An input that is
+    unclassifiable raises UnclassifiableError rather than claiming that no
+    isomorphism exists.  A returned BasisChange has homomorphism residual
+    (sum of squared coordinates over basis pairs) below ISO_TOL.
     """
     if A.dim != 2 or B.dim != 2:
         raise DimensionMismatchError("isomorphism search supports dimension 2 only")
     if A.field != B.field:
         raise ValueError(f"field modes differ: {A.field} vs {B.field}")
     complex_mode = A.field == COMPLEX
-    dof = 8 if complex_mode else 4
+    if start is None:
+        cls_a, w_a = classify_with_witness(A)
+        cls_b, w_b = classify_with_witness(B)
+        if cls_a.tag != cls_b.tag:
+            return None
+        start = ((1, 0), (0, 1))
+        if cls_a.tag != "E0":  # T_A adj(T_B) / det(T_B): exactly I when A == B
+            (p, q), (r, s) = w_b.entries
+            start = tuple(tuple(z / (p * s - q * r) for z in row)
+                          for row in _mul2(w_a.entries, ((s, -q), (-r, p))))
 
-    def residual(x):
-        return _residual_vec(A, B, _unpack(x, complex_mode), complex_mode)
-
-    def jacobian(x):
-        return _jacobian_vec(A, B, _unpack(x, complex_mode), complex_mode)
-
-    def start_points():
-        for t in extra_starts:
-            yield _pack(t, complex_mode)
-        yield _pack(((1, 0), (0, 1)), complex_mode)
-        yield _pack(((0, 1), (1, 0)), complex_mode)
-        i = 1
-        while True:
-            yield halton_box(i, dof, -3.0, 3.0)
-            i += 1
-
-    stop = math.sqrt(ISO_TOL / 12.0) * 0.5
-    for n, x0 in enumerate(start_points()):
-        if n >= starts:
-            break
-        T = _unpack(x0, complex_mode)
-        if _accepts(A, B, T):
-            return BasisChange(T)
-        x, _, _ = levenberg_marquardt(residual, jacobian, x0, stop_norm=stop)
-        T = _unpack(x, complex_mode)
-        if _accepts(A, B, T):
-            return BasisChange(T)
-    return None
+    x0 = _pack(start, complex_mode)
+    T = _unpack(x0, complex_mode)
+    if _accepts(A, B, T):
+        return BasisChange(T)
+    x, _, _ = levenberg_marquardt(
+        lambda x: _residual_vec(A, B, _unpack(x, complex_mode), complex_mode),
+        lambda x: _jacobian_vec(A, B, _unpack(x, complex_mode), complex_mode),
+        x0, stop_norm=math.sqrt(ISO_TOL / 12.0) * 0.5)
+    T = _unpack(x, complex_mode)
+    return BasisChange(T) if _accepts(A, B, T) else None
 
 
 INV_TOL = 1e-9  # residual bound on the inverse witness
@@ -404,18 +387,13 @@ def _basis_tuple(i):
 
 
 def _safe_inv_start(S):
-    if S is None:
-        return []
-    d = _det2(S)
-    if abs(d) < 1e-150:
-        return []
-    return [_inv2(S)]
+    return None if abs(_det2(S)) < 1e-150 else _inv2(S)
 
 
 def _start_E1(w, lam, kappa, tol):
     z = 0 if abs(lam[0]) <= abs(lam[1]) else 1
     if abs(lam[z]) > tol or kappa == 0:
-        return []
+        return None
     u = (w[0] / kappa, w[1] / kappa)
     return _safe_inv_start((u, _basis_tuple(z)))
 
@@ -423,9 +401,9 @@ def _start_E1(w, lam, kappa, tol):
 def _start_E2(w, lam, kappa, real_mode):
     ll = lam[0] * lam[1]
     if ll == 0 or kappa == 0:
-        return []
+        return None
     if real_mode and ll.real <= 0:
-        return []
+        return None
     mu = 1.0 / (kappa * cmath.sqrt(ll))
     u = (w[0] / kappa, w[1] / kappa)
     v = (mu * w[1] * lam[1], -mu * w[0] * lam[0])
@@ -437,7 +415,7 @@ def _start_E5_real(w, lam, kappa):
     # under diag(lam) with f1^2 = mu^2 * lam1*lam2 * kappa * w = f2
     ll = lam[0] * lam[1]
     if ll.real >= 0 or kappa == 0:
-        return []
+        return None
     mu = 1.0 / (kappa * math.sqrt(-ll.real))
     u = (mu * w[1] * lam[1], -mu * w[0] * lam[0])
     v = (-w[0] / kappa, -w[1] / kappa)
@@ -448,7 +426,7 @@ def _start_E3(w, lam):
     sizes = [abs(w[0] * lam[0]), abs(w[1] * lam[1])]
     m = 0 if sizes[0] >= sizes[1] else 1
     if sizes[m] == 0:
-        return []
+        return None
     pm = 1.0 / (lam[m] * w[m])
     p = (pm, 0j) if m == 0 else (0j, pm)
     cp = lam[m] * pm * pm
@@ -530,11 +508,11 @@ def _classify_rank1(A, field, tol):
         "E5": lambda: _start_E5_real(w, lam, kappa),
     }
     for tag in order:
-        closed = builders[tag]()
-        if not closed:
+        start = builders[tag]()
+        if start is None:
             continue
         B = canonical_matrix(AlgebraClass(field, tag))
-        witness = find_isomorphism(A, B, starts=len(closed), extra_starts=closed)
+        witness = find_isomorphism(A, B, start)
         if witness is not None:
             return AlgebraClass(field, tag), witness
     raise UnclassifiableError(
@@ -555,7 +533,7 @@ def _finish_rank2(A, field, tag, reps):
     key = lambda item: tuple(v for p in item[0] for v in _lex_key(p))
     for params, T0 in sorted(reps, key=key):
         B = canonical_matrix(AlgebraClass(field, tag, params))
-        witness = find_isomorphism(A, B, starts=1, extra_starts=[T0])
+        witness = find_isomorphism(A, B, T0)
         if witness is not None:
             if field == REAL:
                 params = tuple(p.real for p in params)
@@ -576,28 +554,15 @@ def _classify_rank2(A, field, tol):
         reps = [((x, y), T0), ((y, x), _col_swap(T0))]
     else:
         tag = "E6" if field == COMPLEX else "E7"
-        if abs(a11) <= eps:
-            base = 1.0 / (a12 * a12 * a21)
-            roots = _cube_roots(base, field)
-            reps = []
-            for d1 in roots:
-                d2 = d1 * d1 * a12
-                a4 = d2 * a22
-                S = ((d1, 0j), (0j, d2))
-                inv = _inv2(S)
-                if inv:
-                    reps.append(((a4,), inv))
-        else:
-            base = 1.0 / (a21 * a21 * a12)
-            roots = _cube_roots(base, field)
-            reps = []
-            for d1 in roots:
-                d2 = d1 * d1 * a21
-                a4 = d2 * a11
-                S = ((0j, d1), (d2, 0j))
-                inv = _inv2(S)
-                if inv:
-                    reps.append(((a4,), inv))
+        # the zero diagonal entry is a11, or a22 once the basis is swapped
+        swap = abs(a11) > eps
+        p, q, diag = (a21, a12, a11) if swap else (a12, a21, a22)
+        reps = []
+        for d1 in _cube_roots(1.0 / (p * p * q), field):
+            d2 = d1 * d1 * p
+            inv = _inv2(((0j, d1), (d2, 0j)) if swap else ((d1, 0j), (0j, d2)))
+            if inv:
+                reps.append(((d2 * diag,), inv))
     got = _finish_rank2(A, field, tag, reps)
     if got:
         return got

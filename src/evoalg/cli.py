@@ -41,8 +41,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="seed for all sampling (default 0, or the config value)")
     p.add_argument("--tol", type=float, default=None,
-                   help="classify: structural zero tolerance; cea verify, rbo verify, "
-                        "rbo search: residual bound (default 1e-9, or the config value)")
+                   help="classify, cea diagram: structural zero tolerance; cea verify, rbo "
+                        "verify, rbo search: residual bound (default 1e-9, or the config value)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="classify a 2x2 structure matrix")
@@ -119,7 +119,7 @@ def cmd_cea_diagram(args) -> int:
     cfg = cea_mod.load_config(args.config)
     prop = args.property or cfg["property"]
     diagram = cea_mod.property_diagram(cfg["spec"], prop, cfg["window"],
-                                       cfg["resolution"], tol=cfg["tolerance"])
+                                       cfg["resolution"], tol=_resolve(args.tol, cfg["tolerance"]))
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "diagram.csv")
     svg_path = os.path.join(args.out, "diagram.svg")

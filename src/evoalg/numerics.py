@@ -1,28 +1,9 @@
-"""Shared numerical machinery: damped least squares and low-discrepancy starts."""
+"""Shared numerical machinery: damped least squares and the real form of a
+complex Jacobian."""
 
 from __future__ import annotations
 
 import numpy as np
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def halton(index: int, dim: int) -> np.ndarray:
-    """Point `index` (1-based) of the Halton sequence in [0,1)^dim."""
-    out = np.empty(dim)
-    for d in range(dim):
-        base = _PRIMES[d % len(_PRIMES)]
-        f, x, i = 1.0, 0.0, index
-        while i > 0:
-            f /= base
-            x += f * (i % base)
-            i //= base
-        out[d] = x
-    return out
-
-
-def halton_box(index: int, dim: int, lo: float, hi: float) -> np.ndarray:
-    return lo + (hi - lo) * halton(index, dim)
 
 
 def levenberg_marquardt(

@@ -1,8 +1,11 @@
+import cmath
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from evoalg.core import StructureMatrix
 from evoalg.classify2d import (
@@ -10,12 +13,12 @@ from evoalg.classify2d import (
     BasisChange,
     UnclassifiableError,
     canonical_matrix,
-    canonicalize_params,
     classify,
     classify_with_witness,
     find_isomorphism,
     homomorphism_residual,
     is_E4_shape,
+    n_params,
     rescale_permute,
 )
 
@@ -213,7 +216,113 @@ def test_find_isomorphism_symmetry():
 def test_find_isomorphism_not_found():
     A = SM([[1, 0], [0, 0]])   # E1
     B = SM([[1, 0], [1, 0]])   # E2
-    assert find_isomorphism(A, B, starts=40) is None
+    assert find_isomorphism(A, B) is None
+
+
+_FORMS = [("complex", tag) for tag in ("E0", "E1", "E2", "E3", "E4", "E5", "E6")] + [
+    ("real", tag) for tag in ("E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7")]
+_GRID = st.integers(-12, 12).map(lambda k: k / 8)  # parameters on a 1/8 grid
+
+
+@st.composite
+def _canonical_classes(draw, field, tag):
+    num = st.builds(complex, _GRID, _GRID) if field == "complex" else _GRID.map(complex)
+    params = tuple(draw(num) for _ in range(n_params(field, tag)))
+    if len(params) == 2:
+        assume(abs(1 - params[0] * params[1]) >= 0.2)  # away from 1 - xy = 0
+    return AlgebraClass(field, tag, params)
+
+
+@st.composite
+def _orbit_images(draw, cls):
+    """canonical_matrix(cls) under a natural-basis rescale by moduli
+    0.4..2.5 (with a phase over C, a sign over R) and a permutation."""
+    scales = []
+    for _ in range(2):
+        mod = draw(st.floats(0.4, 2.5))
+        if cls.field == "complex":
+            scales.append(mod * cmath.exp(1j * draw(st.floats(0, 2 * math.pi))))
+        else:
+            scales.append(mod * draw(st.sampled_from((-1.0, 1.0))))
+    perm = draw(st.sampled_from(((0, 1), (1, 0))))
+    return rescale_permute(canonical_matrix(cls), scales, perm)
+
+
+def _is_isomorphism(A, B, w, tol=1e-8):
+    """Expands the evolution products directly: g(e_i) is row i of the
+    witness, e_i e_i is row i of A, and e_i e_j = 0 for i != j, so
+    g(e_i e_j) = g(e_i) g(e_j) must hold in B for every basis pair."""
+    a, b, t = A.entries, B.entries, w.entries
+
+    def g(v):
+        return [v[0] * t[0][k] + v[1] * t[1][k] for k in range(2)]
+
+    def mul_b(u, v):
+        return [u[0] * v[0] * b[0][k] + u[1] * v[1] * b[1][k] for k in range(2)]
+
+    for i in range(2):
+        for j in range(2):
+            lhs = g(a[i]) if i == j else [0, 0]
+            if any(abs(x - y) > tol for x, y in zip(lhs, mul_b(t[i], t[j]))):
+                return False
+    return abs(t[0][0] * t[1][1] - t[0][1] * t[1][0]) > 1e-6
+
+
+def _equivalent(c1, c2):
+    """Canonical forms equal up to the parameter symmetries: the pair swap of
+    complex E5 and real E6, the cube roots of unity acting on complex E6."""
+    if c1.tag != c2.tag:
+        return False
+    p, q = c1.params, c2.params
+    if len(p) == 2:
+        return set(p) == set(q)
+    if c1.field == "complex" and c1.tag == "E6":
+        return abs(p[0] ** 3 - q[0] ** 3) < 1e-12
+    return p == q
+
+
+@pytest.mark.parametrize("field, tag", _FORMS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_find_isomorphism_between_orbit_images(field, tag, data):
+    cls = data.draw(_canonical_classes(field, tag))
+    A, B = data.draw(_orbit_images(cls)), data.draw(_orbit_images(cls))
+    w = find_isomorphism(A, B)
+    assert w is not None, (cls, A.entries, B.entries)
+    assert _is_isomorphism(A, B, w), (cls, A.entries, B.entries, w.entries)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_find_isomorphism_none_between_different_forms(data):
+    field = data.draw(st.sampled_from(("complex", "real")))
+    tags = [t for f, t in _FORMS if f == field]
+    c1 = data.draw(_canonical_classes(field, data.draw(st.sampled_from(tags))))
+    c2 = data.draw(_canonical_classes(field, data.draw(st.sampled_from(tags))))
+    assume(not _equivalent(c1, c2))
+    A, B = data.draw(_orbit_images(c1)), data.draw(_orbit_images(c2))
+    assert find_isomorphism(A, B) is None, (c1, c2)
+
+
+@pytest.mark.parametrize("rows", [[[1e13, 0], [0, 0]], [[1e12, 0], [0, 1e12]],
+                                  [[1e11, 1e11], [0, 1e11]], [[1e13, 1e13], [0, 1e13]]])
+def test_find_isomorphism_large_scale_self_pair(rows):
+    # the witnesses scale with the input, so the inverse of one may sit below
+    # DET_TOL, and a composed start that misses I by an ulp fails the absolute
+    # residual bound at this scale
+    A = SM(rows)
+    w = find_isomorphism(A, A)
+    assert w is not None
+    assert _is_isomorphism(A, A, w)
+
+
+def test_find_isomorphism_propagates_unclassifiable():
+    # None would claim that no isomorphism exists, which was not found
+    A = SM([[0, 3], [1e-12, 0]])
+    B = canonical_matrix(AlgebraClass("complex", "E6", (0,)))
+    for pair in ((A, A), (A, B), (B, A)):
+        with pytest.raises(UnclassifiableError):
+            find_isomorphism(*pair)
 
 
 def test_witness_residual_rechecked_independently():
@@ -263,14 +372,18 @@ def test_rank1_closed_form_start_is_a_witness(monkeypatch):
 
 
 def test_classification_never_reaches_the_multi_start(monkeypatch):
-    # classification tries closed-form witnesses only; the Halton starts of
-    # find_isomorphism are never drawn, on success or on failure
+    # classification tries closed-form witnesses only: every find_isomorphism
+    # call it makes carries its start, on success or on failure
     import evoalg.classify2d as c2d
 
-    def no_multi_start(*args, **kwargs):
-        raise AssertionError("classification reached the multi-start")
+    check_and_polish = c2d.find_isomorphism
 
-    monkeypatch.setattr(c2d, "halton_box", no_multi_start)
+    def no_multi_start(A, B, start=None):
+        if start is None:
+            raise AssertionError("classification called find_isomorphism without a start")
+        return check_and_polish(A, B, start)
+
+    monkeypatch.setattr(c2d, "find_isomorphism", no_multi_start)
     rng = random.Random(13)
     pool = [
         AlgebraClass("complex", "E0"), AlgebraClass("complex", "E1"),
@@ -322,15 +435,6 @@ def test_rank2_params_are_the_closed_form(monkeypatch):
 def test_basis_change_rejects_singular():
     with pytest.raises(ValueError):
         BasisChange(((1, 1), (1, 1)))
-
-
-def test_canonicalize_params():
-    assert canonicalize_params("complex", "E5", (0.25, 0.0)) == (0.0, 0.25)
-    a4 = 0.7
-    reps = canonicalize_params("complex", "E6", (a4,))
-    # lex-smallest representative of the cube-root orbit
-    assert reps[0].real < 0 and reps[0].imag < 0
-    assert canonicalize_params("real", "E6", (3.0, -1.0)) == (-1.0, 3.0)
 
 
 def test_classify_field_mismatch():

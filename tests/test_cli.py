@@ -169,13 +169,16 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
       "--out", "no-such-dir/x.csv"], None),
     (["rbo", "search", "--algebra", "E2", "--weight", "0", "--starts", "1",
       "--out", "no-such-dir/x.csv"], None),
+    (["cea", "verify", "CONFIG"], {"schema_version": 1, "family": "M2",
+                                   "functions": {"sigma": "0.804*sqrt(s-1)"},
+                                   "thresholds": {"a": 2.5}}),
 ], ids=["unknown-command", "search-weight-7", "verify-weight-5", "verify-weight-abc",
         "rbo-verify-samples-0", "cea-verify-samples-0", "config-list", "config-window-int",
         "config-seed-list", "config-function-int", "config-functions-list",
         "config-threshold-str", "search-starts-0", "search-starts-neg",
         "diagram-property-E9", "config-seed-float", "config-samples-float",
         "config-resolution-float", "config-seed-bool", "diagram-out-is-file",
-        "verify-out-missing-dir", "search-out-missing-dir"])
+        "verify-out-missing-dir", "search-out-missing-dir", "verify-domain-error-in-triple"])
 def test_input_errors_exit_1(capsys, tmp_path, argv, config):
     # every bad input is reported on one error: line with exit 1, never a
     # traceback or argparse's exit 2 (which would read as "unclassifiable")
@@ -186,6 +189,20 @@ def test_input_errors_exit_1(capsys, tmp_path, argv, config):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "error:" in err
+
+
+def test_cea_diagram_honours_tol(tmp_path, capsys):
+    cfg = tmp_path / "m1.json"
+    cfg.write_text(json.dumps(dict(_M1, window=[0, 4, 0, 4], resolution=8)))
+    csvs = []
+    for tol in ([], ["--tol", "1e3"]):
+        out_dir = tmp_path / f"out{len(csvs)}"
+        code, _, _ = run(capsys, *tol, "cea", "diagram", str(cfg), "--out", str(out_dir))
+        assert code == 0
+        csvs.append((out_dir / "diagram.csv").read_text())
+    # a tolerance above every entry makes each classified cell E0
+    assert csvs[0] != csvs[1]
+    assert all(ln.endswith(("E0", "out_of_domain")) for ln in csvs[1].splitlines()[1:])
 
 
 def test_help_exits_0(capsys):
