@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -218,3 +219,23 @@ def test_search_csv_deterministic(tmp_path, capsys):
                          "--weight", "0", "--starts", "40", "--out", str(out))
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+_DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--seed", "0", "rbo", "search", "--algebra", "E6", "--params", "0", "--weight", "1",
+      "--starts", "60"], "search_E6_0_w1_seed0.csv"),
+    (["--seed", "1", "rbo", "search", "--algebra", "E2", "--weight", "0", "--starts", "40"],
+     "search_E2_w0_seed1.csv"),
+    (["--seed", "7", "rbo", "search", "--algebra", "E5", "--params", "0.3,-0.7",
+      "--weight", "1", "--starts", "40"], "search_E5_0.3_-0.7_w1_seed7.csv"),
+], ids=["E6(0)-w1-seed0", "E2-w0-seed1", "E5(0.3,-0.7)-w1-seed7"])
+def test_search_csv_matches_golden(tmp_path, capsys, argv, golden):
+    # search output is a pure function of the flags and the seed; these files
+    # pin it byte for byte, so any change to the solver must keep every bit
+    out = tmp_path / "out.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == (_DATA / golden).read_bytes()
