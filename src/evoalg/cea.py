@@ -608,6 +608,11 @@ def load_config(path_or_text) -> dict:
             raise ValueError(v)
         return int(v)
 
+    def tolerance(v):
+        if not float(v) >= 0:  # NaN fails this too
+            raise ValueError(v)
+        return float(v)
+
     def value(key, default, convert):
         try:
             return convert(cfg.get(key, default))
@@ -621,7 +626,7 @@ def load_config(path_or_text) -> dict:
                             lambda v: tuple(integer(x) for x in v) if isinstance(v, list)
                             else integer(v)),
         "seed": value("seed", 0, integer),
-        "tolerance": value("tolerance", 1e-9, float),
+        "tolerance": value("tolerance", 1e-9, tolerance),
         "samples": value("samples", 1000, integer),
         "t_max": value("t_max", 10.0, float),
         "property": cfg.get("property", "E4"),

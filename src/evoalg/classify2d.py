@@ -387,7 +387,14 @@ def _basis_tuple(i):
 
 
 def _safe_inv_start(S):
-    return None if abs(_det2(S)) < 1e-150 else _inv2(S)
+    """The inverse of the closed-form basis S as a start, or None when S is
+    nearly singular or a closed form overflowed: a NaN determinant passes
+    `abs(d) < 1e-150`, so finiteness is tested on its own."""
+    d = _det2(S)
+    if not cmath.isfinite(d) or abs(d) < 1e-150:
+        return None
+    inv = _inv2(S)
+    return inv if all(cmath.isfinite(z) for row in inv for z in row) else None
 
 
 def _start_E1(w, lam, kappa, tol):
@@ -458,6 +465,8 @@ def classify_with_witness(A: StructureMatrix, field: str | None = None, *,
     E0 decision, which needs no basis change)."""
     if A.dim != 2:
         raise DimensionMismatchError(f"classification supports dimension 2 only, got {A.dim}")
+    if not tol >= 0:  # NaN fails this too
+        raise ValueError(f"tolerance must be non-negative, got {tol!r}")
     field = field or A.field
     if field == REAL and any(z.imag != 0 for row in A.entries for z in row):
         raise ValueError("cannot classify a genuinely complex matrix in real mode")

@@ -35,12 +35,19 @@ def _resolve(value, *fallbacks):
     return None
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not tol >= 0:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+    return tol
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="evoalg",
                                 description="evolution-algebra toolkit")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for all sampling (default 0, or the config value)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="classify, cea diagram: structural zero tolerance; cea verify, rbo "
                         "verify, rbo search: residual bound (default 1e-9, or the config value)")
     sub = p.add_subparsers(dest="command", required=True)

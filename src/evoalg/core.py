@@ -171,6 +171,67 @@ def multiply(A: StructureMatrix, x: AlgebraElement, y: AlgebraElement) -> Algebr
     return AlgebraElement(tuple(out))
 
 
+class ComplexLanes:
+    """One complex number per lane, held as float64 arrays `re` and `im`.
+
+    +, - and * apply CPython's complex formulas lane by lane, and a complex
+    or real scalar operand acts on every lane.  A kernel written for complex
+    scalars (rb_components, rb_jacobian_rows) therefore gives on lanes, bit
+    for bit, what it gives one lane at a time.  numpy's complex128 product
+    is not bit-identical to CPython's, hence the split arrays.  Like numpy
+    arithmetic in general, lane arithmetic reports overflow through
+    np.errstate, which CPython's complex arithmetic never does.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def _parts(z):
+        if isinstance(z, ComplexLanes):
+            return z.re, z.im
+        z = complex(z)
+        return z.real, z.imag
+
+    def __add__(self, other):
+        ore, oim = self._parts(other)
+        return ComplexLanes(self.re + ore, self.im + oim)
+
+    __radd__ = __add__  # IEEE addition commutes bit for bit
+
+    def __sub__(self, other):
+        ore, oim = self._parts(other)
+        return ComplexLanes(self.re - ore, self.im - oim)
+
+    def __rsub__(self, other):
+        ore, oim = self._parts(other)
+        return ComplexLanes(ore - self.re, oim - self.im)
+
+    def __mul__(self, other):
+        ore, oim = self._parts(other)
+        return ComplexLanes(self.re * ore - self.im * oim, self.re * oim + self.im * ore)
+
+    __rmul__ = __mul__  # the products and the sum of the imaginary part commute
+
+
+def lanes_array(values, size: int) -> np.ndarray:
+    """complex128 array of a list (or list of lists) of ComplexLanes and
+    complex scalars over `size` lanes, lane axis first: entry [l, ...] is
+    lane l of values[...]; a scalar fills every lane."""
+    nested = isinstance(values[0], list)
+    flat = [z for row in values for z in row] if nested else values
+    out = np.empty((size, len(flat)), dtype=complex)
+    for c, z in enumerate(flat):
+        if isinstance(z, ComplexLanes):
+            out.real[:, c] = z.re
+            out.imag[:, c] = z.im
+        else:
+            out[:, c] = z
+    return out.reshape(size, len(values), -1) if nested else out
+
+
 @functools.cache
 def rb_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Basis pairs i <= j in residual order: the diagonal pairs first, then
@@ -193,8 +254,8 @@ def rb_components(a, R, weight) -> list:
 
     `a` is the structure matrix and `R` the row matrix of P.  Only +, - and *
     are used and sums start from their first term, so the entries may be
-    complex numbers or Poly values.  Nothing is validated; see
-    rb_residual_general.
+    complex numbers, Poly values or (for R) ComplexLanes.  Nothing is
+    validated; see rb_residual_general.
     """
     n = len(R)
     coords, rest = range(n), range(1, n)
@@ -217,11 +278,11 @@ def rb_components(a, R, weight) -> list:
     return out
 
 
-def rb_jacobian(A, R, weight) -> np.ndarray:
+def rb_jacobian_rows(a, R, weight) -> list:
     """Analytic complex Jacobian of rb_components with respect to the
-    operator entries; rows follow rb_components, columns are ordered
-    R_11, R_12, ..., R_nn (row-major)."""
-    a = A.entries if isinstance(A, StructureMatrix) else A
+    operator entries, as nested lists of entries of R's kind (complex
+    numbers or ComplexLanes); rows follow rb_components, columns are ordered
+    R_11, R_12, ..., R_nn (row-major).  Entries no term reaches stay 0j."""
     n = len(R)
     rows = []
     for i, j in rb_pairs(n):
@@ -242,7 +303,13 @@ def rb_jacobian(A, R, weight) -> np.ndarray:
             for p in range(n):
                 d[n * p + k] -= v[p]
             rows.append(d)
-    return np.array(rows, dtype=complex)
+    return rows
+
+
+def rb_jacobian(A, R, weight) -> np.ndarray:
+    """rb_jacobian_rows for complex entries, as an (m, n*n) complex array."""
+    a = A.entries if isinstance(A, StructureMatrix) else A
+    return np.array(rb_jacobian_rows(a, R, weight), dtype=complex)
 
 
 def _checked_components(A: StructureMatrix, rows, weight) -> list:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (COMPLEX, EvoalgError, StructureMatrix, rb_components, rb_jacobian,
-                   rb_pairs, rb_residual_norm_general)
+from .core import (COMPLEX, ComplexLanes, EvoalgError, StructureMatrix, lanes_array,
+                   rb_components, rb_jacobian_rows, rb_pairs, rb_residual_norm_general)
 from .classify2d import AlgebraClass, canonical_matrix
 from .numerics import complex_jacobian_to_real, levenberg_marquardt
 from .polys import Poly
@@ -667,21 +667,31 @@ def search(A: StructureMatrix, weight: int, starts: int = 500, seed: int = 0,
         z = x.view(complex).tolist()  # (re, im) pairs read as complex, bit for bit
         return ((z[0], z[1]), (z[2], z[3]))
 
-    def residual(x):
-        # complex128 viewed as float64 interleaves (re, im) per component
-        return np.array(rb_components(a, unpack(x), weight)).view(float)
+    def lanes(X):
+        # one lane per row of X; lane l of R is unpack(X[l])
+        z = [ComplexLanes(X[:, 2 * p], X[:, 2 * p + 1]) for p in range(4)]
+        return ((z[0], z[1]), (z[2], z[3]))
 
-    def jacobian(x):
-        return complex_jacobian_to_real(rb_jacobian(a, unpack(x), weight))
+    # lanes overflow silently, like the complex arithmetic they reproduce
+    def residual(X):
+        with np.errstate(all="ignore"):
+            comps = rb_components(a, lanes(X), weight)
+        # complex128 viewed as float64 interleaves (re, im) per component
+        return lanes_array(comps, len(X)).view(float)
+
+    def jacobian(X):
+        with np.errstate(all="ignore"):
+            rows = rb_jacobian_rows(a, lanes(X), weight)
+        return complex_jacobian_to_real(lanes_array(rows, len(X)))
 
     # solutions sit where the residual is quadratic in the distance, so the
     # polish target is far below tol to pin points to ~sqrt(stop) accuracy
     stop = min(tol * 1e-4, 1e-13)
+    # all starts run in lockstep; each is the one-start LM bit for bit
+    X0 = np.array([[rng.uniform(-2.0, 2.0) for _ in range(8)] for _ in range(starts)])
+    X, Rs, _ = levenberg_marquardt(residual, jacobian, X0, stop_norm=stop, max_iter=160)
     found = []
-    for _ in range(starts):
-        x0 = np.array([rng.uniform(-2.0, 2.0) for _ in range(8)])
-        x, r, ok = levenberg_marquardt(residual, jacobian, x0, stop_norm=stop,
-                                       max_iter=160)
+    for x, r in zip(X, Rs):
         res = float(np.max(np.abs(r)))
         if res <= tol:
             found.append((res, x))

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from evoalg.core import StructureMatrix, rb_residual, RotaBaxterOperator
+from evoalg.core import StructureMatrix, rb_components, rb_jacobian, rb_residual, RotaBaxterOperator
 from evoalg.classify2d import classify, is_E4_shape
 from evoalg.cea import (
     ChainFamilySpec,
@@ -26,8 +26,6 @@ from evoalg.rotabaxter import (
     algebra_matrix,
     catalog_rows,
     derive_system,
-    rb_components,
-    rb_jacobian,
     search,
     symbolic_algebra,
     verify_exclusions,

@@ -409,6 +409,25 @@ def test_classification_never_reaches_the_multi_start(monkeypatch):
             pass
 
 
+@pytest.mark.parametrize("rows", [[[0, 1e200], [1e-100, 0]], [[1e120, 0], [1e120, 0]]])
+def test_overflowing_closed_form_is_no_start(monkeypatch, rows):
+    # a closed form that overflows to NaN or inf is no start: polishing from
+    # it can only fail, after numpy warnings for every trial
+    import evoalg.classify2d as c2d
+
+    starts = []
+    lm = c2d.levenberg_marquardt
+
+    def counting_lm(residual, jacobian, x0, **kwargs):
+        starts.append(x0)
+        return lm(residual, jacobian, x0, **kwargs)
+
+    monkeypatch.setattr(c2d, "levenberg_marquardt", counting_lm)
+    with pytest.raises(UnclassifiableError):
+        classify(SM(rows), "complex")
+    assert starts == []
+
+
 def test_rank2_params_are_the_closed_form(monkeypatch):
     # the parameters reported are the closed-form ones the witness was
     # checked against, exactly; nothing re-fits them by least squares
@@ -447,6 +466,13 @@ def test_classify_wrong_dimension():
 
     with pytest.raises(DimensionMismatchError):
         classify(SM([[1]]), "complex")
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+def test_classify_rejects_negative_or_nan_tol(tol):
+    # with tol < 0 the zero matrix skipped the E0 test and matched the E4 shape
+    with pytest.raises(ValueError):
+        classify_with_witness(SM([[0, 0], [0, 0]]), "complex", tol=tol)
 
 
 def test_classify_invariant_under_general_natural_basis_change():

@@ -173,19 +173,23 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
     (["cea", "verify", "CONFIG"], {"schema_version": 1, "family": "M2",
                                    "functions": {"sigma": "0.804*sqrt(s-1)"},
                                    "thresholds": {"a": 2.5}}),
+    (["--tol", "-1", "classify", "CONFIG"], "2\n0+0i 0+0i\n0+0i 0+0i\n"),
+    (["--tol", "nan", "classify", "CONFIG"], "2\n0+0i 0+0i\n0+0i 0+0i\n"),
+    (["cea", "diagram", "CONFIG"], dict(_M1, tolerance=-1)),
 ], ids=["unknown-command", "search-weight-7", "verify-weight-5", "verify-weight-abc",
         "rbo-verify-samples-0", "cea-verify-samples-0", "config-list", "config-window-int",
         "config-seed-list", "config-function-int", "config-functions-list",
         "config-threshold-str", "search-starts-0", "search-starts-neg",
         "diagram-property-E9", "config-seed-float", "config-samples-float",
         "config-resolution-float", "config-seed-bool", "diagram-out-is-file",
-        "verify-out-missing-dir", "search-out-missing-dir", "verify-domain-error-in-triple"])
+        "verify-out-missing-dir", "search-out-missing-dir", "verify-domain-error-in-triple",
+        "tol-negative", "tol-nan", "config-tolerance-negative"])
 def test_input_errors_exit_1(capsys, tmp_path, argv, config):
     # every bad input is reported on one error: line with exit 1, never a
     # traceback or argparse's exit 2 (which would read as "unclassifiable")
     if config is not None:
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = [str(path) if a == "CONFIG" else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 1

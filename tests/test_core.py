@@ -5,25 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from evoalg.core import (
     AlgebraElement,
+    ComplexLanes,
     DimensionMismatchError,
     MatrixFormatError,
     RotaBaxterOperator,
     StructureMatrix,
     format_complex,
     format_matrix,
+    lanes_array,
     multiply,
     parse_complex,
     parse_matrix,
     rb_components,
+    rb_jacobian,
+    rb_jacobian_rows,
     rb_pairs,
     rb_residual,
     rb_residual_general,
     rb_residual_norm,
     rb_residual_norm_general,
 )
-from evoalg.rotabaxter import derive_system
+from evoalg.rotabaxter import algebra_matrix, derive_system
 
 from conftest import brute_force_rb_residual, random_complex_matrix
 
@@ -294,3 +300,33 @@ def test_derive_system_evaluates_to_rb_components(Ae, Re, weight):
         assert min(abs(got - want), abs(got + want)) <= tol
     for pair, coord in system.tautologies:
         assert abs(comps[index[(pair, coord)]]) <= tol
+
+
+# moduli from 1e-8 to 1e8 of either sign, plus both zeros
+lane_floats = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, mant, exp: sign * mant * 10.0 ** exp,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0), st.integers(-8, 7)))
+lane_complex = st.builds(complex, lane_floats, lane_floats)
+CATALOG_ALGEBRAS = [algebra_matrix(tag, p).entries for tag, p in [
+    ("E1", ()), ("E2", ()), ("E3", ()), ("E4", ()), ("E5", (0.3, -0.7)), ("E5", (0.25, 0)),
+    ("E6", (0,)), ("E6", (0.5,))]]
+
+
+@given(st.one_of(st.sampled_from(CATALOG_ALGEBRAS),
+                 st.tuples(*[st.tuples(lane_complex, lane_complex)] * 2)),
+       st.lists(st.lists(lane_floats, min_size=8, max_size=8), min_size=1, max_size=12),
+       st.sampled_from((0, 1)))
+@settings(max_examples=100, deadline=None)
+def test_lane_kernel_is_the_scalar_kernel_bit_for_bit(a, ops, weight):
+    X = np.array(ops)
+    z = [ComplexLanes(X[:, 2 * p], X[:, 2 * p + 1]) for p in range(4)]
+    lanes = ((z[0], z[1]), (z[2], z[3]))
+    with np.errstate(all="ignore"):
+        comps = lanes_array(rb_components(a, lanes, weight), len(X))
+        jac = lanes_array(rb_jacobian_rows(a, lanes, weight), len(X))
+    for lane, x in enumerate(X):
+        w = x.view(complex).tolist()
+        R = ((w[0], w[1]), (w[2], w[3]))
+        assert comps[lane].tobytes() == np.array(rb_components(a, R, weight)).tobytes()
+        assert jac[lane].tobytes() == rb_jacobian(a, R, weight).tobytes()

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from evoalg.core import StructureMatrix, rb_residual_norm_general
+from evoalg.core import StructureMatrix, rb_components, rb_jacobian, rb_residual_norm_general
 from evoalg.numerics import complex_jacobian_to_real
 from evoalg.polys import parse_equation
 from evoalg.rotabaxter import (
@@ -17,8 +17,6 @@ from evoalg.rotabaxter import (
     catalog_rows,
     catalog_text,
     derive_system,
-    rb_components,
-    rb_jacobian,
     search,
     symbolic_algebra,
     verify_exclusions,
