@@ -1,6 +1,8 @@
 import cmath
 import itertools
+import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -426,6 +428,30 @@ def test_overflowing_closed_form_is_no_start(monkeypatch, rows):
     with pytest.raises(UnclassifiableError):
         classify(SM(rows), "complex")
     assert starts == []
+
+
+_GOLDEN = pathlib.Path(__file__).parent / "data" / "classify_golden.jsonl"
+
+
+def golden_result(field, rows) -> str:
+    """One line of text for the classification of rows over field: tag,
+    parameters and witness entries by repr, or the error raised."""
+    try:
+        cls, witness = classify_with_witness(SM(rows, field), field)
+    except (UnclassifiableError, ValueError) as e:
+        return f"{type(e).__name__}: {e}"
+    return f"{cls.tag} {cls.params!r} {witness.entries if witness is not None else None!r}"
+
+
+def test_classification_matches_golden():
+    # tests/make_classify_golden.py wrote the corpus and its results: edge,
+    # near-boundary, far-scaled and bulk inputs, a quarter of them polished
+    lines = _GOLDEN.read_text().splitlines()
+    assert len(lines) > 400
+    for line in lines:
+        case = json.loads(line)
+        rows = [[complex(re, im) for re, im in r] for r in case["rows"]]
+        assert golden_result(case["field"], rows) == case["result"], line
 
 
 def test_rank2_params_are_the_closed_form(monkeypatch):
