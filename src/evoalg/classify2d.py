@@ -132,13 +132,10 @@ class BasisChange:
 
     @property
     def det(self) -> complex:
-        t = self.entries
-        return t[0][0] * t[1][1] - t[0][1] * t[1][0]
+        return _det2(self.entries)
 
     def inverse(self) -> "BasisChange":
-        t = self.entries
-        d = self.det
-        return BasisChange(((t[1][1] / d, -t[0][1] / d), (-t[1][0] / d, t[0][0] / d)))
+        return BasisChange(_inv2(self.entries))
 
 
 @dataclass(frozen=True)
@@ -222,39 +219,28 @@ def _mul2(s, t):
 
 # --- isomorphism check and polish --------------------------------------------
 
-_BARRIER_DELTA = DET_TOL**2  # barrier turns on when |det T|^2 falls below this
-
 
 def _pack(T, complex_mode: bool) -> np.ndarray:
-    flat = [T[0][0], T[0][1], T[1][0], T[1][1]]
-    if complex_mode:
-        out = np.empty(8)
-        out[0::2] = [z.real for z in flat]
-        out[1::2] = [z.imag for z in flat]
-        return out
-    return np.array([z.real for z in flat])
+    # complex128 viewed as float64 interleaves (re, im); real mode keeps re
+    x = np.array(T, dtype=complex).reshape(4)
+    return x.view(float) if complex_mode else x.real
 
 
 def _unpack(x: np.ndarray, complex_mode: bool):
-    if complex_mode:
-        f = [complex(x[2 * i], x[2 * i + 1]) for i in range(4)]
-    else:
-        f = [complex(v) for v in x]
-    return ((f[0], f[1]), (f[2], f[3]))
+    z = (x.view(complex) if complex_mode else x.astype(complex)).tolist()
+    return ((z[0], z[1]), (z[2], z[3]))
 
 
+# The real-mode arrays are contiguous copies: numpy's matmul takes another
+# summation order on a strided view, and the polish would change its bits.
 def _residual_vec(A, B, T, complex_mode: bool) -> np.ndarray:
-    comps = _hom_components(A, B, T)
-    if complex_mode:
-        vals = np.empty(13)
-        vals[0:12:2] = [z.real for z in comps]
-        vals[1:12:2] = [z.imag for z in comps]
-    else:
-        vals = np.empty(7)
-        vals[:6] = [z.real for z in comps]
-    d2 = abs(_det2(T)) ** 2
-    vals[-1] = max(0.0, (_BARRIER_DELTA - d2) / _BARRIER_DELTA)
-    return vals
+    r = np.array(_hom_components(A, B, T))
+    return r.view(float) if complex_mode else r.real.copy()
+
+
+def _jacobian_vec(A, B, T, complex_mode: bool) -> np.ndarray:
+    J = _jac_complex(A, B, T)
+    return complex_jacobian_to_real(J) if complex_mode else J.real.copy()
 
 
 def _jac_complex(A, B, T) -> np.ndarray:
@@ -283,34 +269,14 @@ def _jac_complex(A, B, T) -> np.ndarray:
     return J
 
 
-def _jacobian_vec(A, B, T, complex_mode: bool) -> np.ndarray:
-    Jc = _jac_complex(A, B, T)
-    if complex_mode:
-        J = np.zeros((13, 8))
-        J[:12, :] = complex_jacobian_to_real(Jc)
-    else:
-        J = np.zeros((7, 4))
-        J[:6, :] = np.real(Jc)
-    # barrier row
-    D = _det2(T)
-    if abs(D) ** 2 < _BARRIER_DELTA:
-        dD = (T[1][1], -T[1][0], -T[0][1], T[0][0])  # d(det)/dT00, T01, T10, T11
-        for idx, dd in enumerate(dD):
-            g = np.conj(D) * dd
-            if complex_mode:
-                J[-1, 2 * idx] = -2.0 * g.real / _BARRIER_DELTA
-                J[-1, 2 * idx + 1] = 2.0 * g.imag / _BARRIER_DELTA
-            else:
-                J[-1, idx] = -2.0 * g.real / _BARRIER_DELTA
-    return J
-
-
 def find_isomorphism(A: StructureMatrix, B: StructureMatrix, start=None):
     """An algebra isomorphism from A onto B, or None.
 
     With a start (a 2x2 basis change, row i the image of e_i), the start is
     accepted as it stands when it passes the witness check; otherwise one
     Levenberg-Marquardt polish runs from it and the result is checked again.
+    The polish minimizes the homomorphism residual alone; the check's
+    determinant test rejects a result that ends near a singular map.
     Without a start, A and B are classified with their witnesses, and the
     classification is a complete invariant: different tags give None, and the
     start is T_A * T_B^-1 (the identity when both are E0).  An input that is
@@ -382,10 +348,6 @@ def _rank1_data(A: StructureMatrix, tol: float):
     return w, (lam[0], lam[1])
 
 
-def _basis_tuple(i):
-    return (1.0 + 0j, 0j) if i == 0 else (0j, 1.0 + 0j)
-
-
 def _safe_inv_start(S):
     """The inverse of the closed-form basis S as a start, or None when S is
     nearly singular or a closed form overflowed: a NaN determinant passes
@@ -402,7 +364,7 @@ def _start_E1(w, lam, kappa, tol):
     if abs(lam[z]) > tol or kappa == 0:
         return None
     u = (w[0] / kappa, w[1] / kappa)
-    return _safe_inv_start((u, _basis_tuple(z)))
+    return _safe_inv_start((u, ((1.0 + 0j, 0j), (0j, 1.0 + 0j))[z]))
 
 
 def _start_E2(w, lam, kappa, real_mode):
@@ -494,21 +456,16 @@ def _classify_rank1(A, field, tol):
     kappa_zero = abs(kappa) <= tol * scale * scale
     ll_zero = abs(ll) <= tol
 
-    if field == COMPLEX:
-        if not kappa_zero:
-            order = ["E1", "E2", "E3"] if ll_zero else ["E2", "E1", "E3"]
-        else:
-            order = ["E3", "E2", "E1"]
+    if kappa_zero:
+        order = ["E3", "E2", "E5", "E1"]
+    elif ll_zero:
+        order = ["E1", "E2", "E5", "E3"]
+    elif ll.real > 0:
+        order = ["E2", "E5", "E1", "E3"]
     else:
-        if not kappa_zero:
-            if ll_zero:
-                order = ["E1", "E2", "E5", "E3"]
-            elif ll.real > 0:
-                order = ["E2", "E5", "E1", "E3"]
-            else:
-                order = ["E5", "E2", "E1", "E3"]
-        else:
-            order = ["E3", "E2", "E5", "E1"]
+        order = ["E5", "E2", "E1", "E3"]
+    if field == COMPLEX:  # E5 is the real form with lam1*lam2 < 0
+        order.remove("E5")
 
     builders = {
         "E1": lambda: _start_E1(w, lam, kappa, tol),
@@ -528,10 +485,6 @@ def _classify_rank1(A, field, tol):
         "no rank-1 canonical form matched its closed-form witness; "
         "the input is numerically degenerate"
     )
-
-
-def _col_swap(T):
-    return ((T[0][1], T[0][0]), (T[1][1], T[1][0]))
 
 
 def _finish_rank2(A, field, tag, reps):
@@ -559,8 +512,7 @@ def _classify_rank2(A, field, tol):
         tag = "E5" if field == COMPLEX else "E6"
         x = a12 * a22 / (a11 * a11)
         y = a21 * a11 / (a22 * a22)
-        T0 = ((a11, 0j), (0j, a22))
-        reps = [((x, y), T0), ((y, x), _col_swap(T0))]
+        reps = [((x, y), ((a11, 0j), (0j, a22))), ((y, x), ((0j, a11), (a22, 0j)))]
     else:
         tag = "E6" if field == COMPLEX else "E7"
         # the zero diagonal entry is a11, or a22 once the basis is swapped

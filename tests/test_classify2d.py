@@ -430,6 +430,35 @@ def test_overflowing_closed_form_is_no_start(monkeypatch, rows):
     assert starts == []
 
 
+def test_near_singular_start_is_polished_once(monkeypatch):
+    # kappa ~ 1.8e-24 puts E3 first; its closed form is singular to within
+    # |det| ~ 9e-37 and already a homomorphism, so the polish stops at its
+    # first residual and the determinant test rejects it; E1's closed form
+    # is then the witness as it stands
+    import evoalg.classify2d as c2d
+
+    evals = []
+    lm = c2d.levenberg_marquardt
+
+    def counting_lm(residual, jacobian, x0, **kwargs):
+        evals.append(0)
+
+        def counted(x):
+            evals[-1] += 1
+            return residual(x)
+
+        return lm(counted, jacobian, x0, **kwargs)
+
+    monkeypatch.setattr(c2d, "levenberg_marquardt", counting_lm)
+    A = SM([[1.3468605077866173e-12, -2.5906837124019626], [0, 0]], "real")
+    cls, witness = classify_with_witness(A, "real")
+    w, lam = c2d._rank1_data(A, c2d.DEFAULT_TOL)
+    kappa = w[0] * w[0] * lam[0] + w[1] * w[1] * lam[1]
+    assert cls == AlgebraClass("real", "E1")
+    assert witness.entries == c2d._start_E1(w, lam, kappa, c2d.DEFAULT_TOL)
+    assert evals == [1]
+
+
 _GOLDEN = pathlib.Path(__file__).parent / "data" / "classify_golden.jsonl"
 
 
