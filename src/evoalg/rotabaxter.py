@@ -24,7 +24,7 @@ import numpy as np
 from .core import (COMPLEX, ComplexLanes, EvoalgError, StructureMatrix, lanes_array,
                    rb_components, rb_jacobian_rows, rb_pairs, rb_residual_norm_general)
 from .classify2d import AlgebraClass, canonical_matrix
-from .numerics import complex_jacobian_to_real, levenberg_marquardt
+from .numerics import _rowdot, complex_jacobian_to_real, levenberg_marquardt
 from .polys import Poly
 
 SQRT3 = math.sqrt(3.0)
@@ -696,11 +696,16 @@ def search(A: StructureMatrix, weight: int, starts: int = 500, seed: int = 0,
         if res <= tol:
             found.append((res, x))
 
-    # dedupe: lowest-residual representative per 1e-5 cluster
+    # dedupe: lowest-residual representative per 1e-5 cluster; a point's
+    # distances to all kept ones are one stacked product, sqrt(dot) per pair
+    # as np.linalg.norm gives it
     found.sort(key=lambda t: t[0])
     reps: list[tuple[float, np.ndarray]] = []
+    kept = np.empty((len(found), 8))
     for res, x in found:
-        if all(np.linalg.norm(x - rx) > 1e-5 for _, rx in reps):
+        d = x - kept[:len(reps)]
+        if np.all(np.sqrt(_rowdot(d, d)) > 1e-5):
+            kept[len(reps)] = x
             reps.append((res, x))
     reps.sort(key=lambda t: tuple(np.round(t[1], 9)))
 
