@@ -410,7 +410,7 @@ def _w1_families():
         "[[-1-d, -d(1+d)/c], [c, d]]",
         "d != 0, d != -1, d != (-3 +- i*sqrt3)/6, c != 0, c != d(1+d)/(1+2d), "
         "c != 1+2d; x = d(1+d)(c+2cd-d(1+d))/(c^2(1+3d+3d^2)), "
-        "y = c(1-c+2d)/(c^2(1+3d+3d^2))",
+        "y = c(1-c+2d)/(1+3d+3d^2)",
         mat=lambda p: ((-1.0 - p["d"], -p["d"] * (1.0 + p["d"]) / p["c"]),
                        (p["c"], p["d"])),
         algebra_params=lambda p: _case_d_xy(p["c"], p["d"]),

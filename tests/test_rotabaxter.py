@@ -310,6 +310,8 @@ def test_catalog_text_export():
     text = catalog_text(0)
     assert "family: w0:E1" in text
     assert "matrix: [[0, b], [0, d]]" in text
+    # the caseD y of _case_d_xy, the one that makes the residual vanish
+    assert "y = c(1-c+2d)/(1+3d+3d^2)" in catalog_text(1)
 
 
 def test_poly_parser_roundtrip():
