@@ -696,17 +696,17 @@ def search(A: StructureMatrix, weight: int, starts: int = 500, seed: int = 0,
         if res <= tol:
             found.append((res, x))
 
-    # dedupe: lowest-residual representative per 1e-5 cluster; a point's
-    # distances to all kept ones are one stacked product, sqrt(dot) per pair
-    # as np.linalg.norm gives it
+    # dedupe: lowest-residual representative per 1e-5 cluster.  The best
+    # point left is kept and drops every point within 1e-5 of it, by one
+    # stacked distance with the sqrt(dot) bits of np.linalg.norm per pair
     found.sort(key=lambda t: t[0])
+    pts = np.array([x for _, x in found]).reshape(-1, 8)
+    left = np.arange(len(found))
     reps: list[tuple[float, np.ndarray]] = []
-    kept = np.empty((len(found), 8))
-    for res, x in found:
-        d = x - kept[:len(reps)]
-        if np.all(np.sqrt(_rowdot(d, d)) > 1e-5):
-            kept[len(reps)] = x
-            reps.append((res, x))
+    while left.size:
+        reps.append(found[left[0]])
+        d = pts[left] - pts[left[0]]
+        left = left[np.sqrt(_rowdot(d, d)) > 1e-5]
     reps.sort(key=lambda t: tuple(np.round(t[1], 9)))
 
     annotations = _annotator(A, weight)

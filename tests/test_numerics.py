@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evoalg.numerics import levenberg_marquardt
+from evoalg.numerics import _rowdot, levenberg_marquardt
 
 # Test problems written with elementwise numpy only, so that a (k, n) stack
 # of points gives, row by row, the bits that each (n,) point gives alone.
@@ -117,3 +117,18 @@ def test_lockstep_single_row_and_empty_budget():
     X, R, conv = levenberg_marquardt(rosenbrock_r, rosenbrock_j, X0, stop_norm=1e-12)
     x, r, ok = levenberg_marquardt(rosenbrock_r, rosenbrock_j, X0[0], stop_norm=1e-12)
     assert X[0].tobytes() == x.tobytes() and conv == (ok,) == (True,)
+
+
+def test_stacked_distances_are_norm_bits():
+    # rbo search dedupes with sqrt(_rowdot(d, d)) from a representative to
+    # all points left; each entry must be np.linalg.norm of its pair, bit for
+    # bit, so that the clusters stay the same
+    rng = np.random.default_rng(3)
+    for k in (0, 1, 7, 40):
+        for mag in (1e-9, 1e-3, 1.0, 4.0):
+            R = rng.uniform(-2.0, 2.0, (k, 8)) * mag
+            x = rng.uniform(-2.0, 2.0, 8) * mag
+            d = x - R
+            got = np.sqrt(_rowdot(d, d))
+            want = np.array([np.linalg.norm(x - r) for r in R])
+            assert got.tobytes() == want.tobytes()
