@@ -228,14 +228,30 @@ def test_search_csv_deterministic(tmp_path, capsys):
 _DATA = pathlib.Path(__file__).parent / "data"
 
 
+def _search_case(tag, params, weight):
+    # 100 seeded starts on one canonical algebra; the file name spells the flags
+    argv = ["--seed", "2", "rbo", "search", "--algebra", tag, f"--params={params}",
+            "--weight", str(weight), "--starts", "100"]
+    name = "_".join(["search", tag] + (params.split(",") if params else []) + [f"w{weight}", "seed2"])
+    return pytest.param(argv, name + ".csv", id=name[len("search_"):])
+
+
 @pytest.mark.parametrize("argv, golden", [
-    (["--seed", "0", "rbo", "search", "--algebra", "E6", "--params", "0", "--weight", "1",
-      "--starts", "60"], "search_E6_0_w1_seed0.csv"),
-    (["--seed", "1", "rbo", "search", "--algebra", "E2", "--weight", "0", "--starts", "40"],
-     "search_E2_w0_seed1.csv"),
-    (["--seed", "7", "rbo", "search", "--algebra", "E5", "--params", "0.3,-0.7",
-      "--weight", "1", "--starts", "40"], "search_E5_0.3_-0.7_w1_seed7.csv"),
-], ids=["E6(0)-w1-seed0", "E2-w0-seed1", "E5(0.3,-0.7)-w1-seed7"])
+    pytest.param(["--seed", "0", "rbo", "search", "--algebra", "E6", "--params", "0",
+                  "--weight", "1", "--starts", "60"], "search_E6_0_w1_seed0.csv",
+                 id="E6(0)-w1-seed0"),
+    pytest.param(["--seed", "1", "rbo", "search", "--algebra", "E2", "--weight", "0",
+                  "--starts", "40"], "search_E2_w0_seed1.csv", id="E2-w0-seed1"),
+    pytest.param(["--seed", "7", "rbo", "search", "--algebra", "E5", "--params", "0.3,-0.7",
+                  "--weight", "1", "--starts", "40"], "search_E5_0.3_-0.7_w1_seed7.csv",
+                 id="E5(0.3,-0.7)-w1-seed7"),
+    *[_search_case(tag, "", w) for tag in ("E1", "E2", "E3", "E4") for w in (0, 1)],
+    *[_search_case("E5", p, w) for p in ("0.3,-0.7", "0.3,0", "0,0.45") for w in (0, 1)],
+    *[_search_case("E6", p, w) for p in ("0", "0.5") for w in (0, 1)],
+    # algebras on which a weight-0 family other than the zero map has solutions
+    *[_search_case("E5", p, 0) for p in ("0.25,0", "0,0.25", "-1,0.18518518518518517")],
+    _search_case("E6", "-1.8898815748423097", 0),
+])
 def test_search_csv_matches_golden(tmp_path, capsys, argv, golden):
     # search output is a pure function of the flags and the seed; these files
     # pin it byte for byte, so any change to the solver must keep every bit
@@ -243,3 +259,15 @@ def test_search_csv_matches_golden(tmp_path, capsys, argv, golden):
     code, _, _ = run(capsys, *argv, "--out", str(out))
     assert code == 0
     assert out.read_bytes() == (_DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_report_matches_golden(tmp_path, capsys, monkeypatch, seed):
+    # the printed report and the CSV of the whole catalog, byte for byte
+    monkeypatch.chdir(tmp_path)
+    name = f"verify_all_seed{seed}"
+    code, out, _ = run(capsys, "--seed", str(seed), "rbo", "verify", "--algebra", "all",
+                       "--weight", "all", "--samples", "200", "--out", f"{name}.csv")
+    assert code == 0
+    assert out == (_DATA / f"{name}.txt").read_text()
+    assert (tmp_path / f"{name}.csv").read_bytes() == (_DATA / f"{name}.csv").read_bytes()
