@@ -601,6 +601,8 @@ def load_config(path_or_text) -> dict:
             and all(isinstance(v, (int, float)) for v in thresholds.values())):
         raise EvoalgError("config 'thresholds' must map names to numbers")
     spec = ChainFamilySpec.make(cfg["family"], functions, thresholds)
+    if not isinstance(cfg.get("property", ""), str):
+        raise EvoalgError(f"config 'property' must be a class tag string: {cfg['property']!r}")
 
     def integer(v):
         # int() would truncate 1.7 to 1 and read true as 1

@@ -69,6 +69,10 @@ class AlgebraClass:
                 f"{self.tag} ({self.field}) takes {n_params(self.field, self.tag)} "
                 f"parameters, got {len(self.params)}"
             )
+        # [[1, p0], [p1, 1]] has determinant 1 - p0*p1; at 0 it is not rank 2
+        if (self.tag == ("E5" if self.field == COMPLEX else "E6")
+                and 1 - self.params[0] * self.params[1] == 0):
+            raise ValueError(f"{self.label()} ({self.field}) is degenerate: 1 - p0*p1 = 0")
 
     def label(self) -> str:
         if not self.params:
@@ -494,7 +498,10 @@ def _finish_rank2(A, field, tag, reps):
     parameters themselves."""
     key = lambda item: tuple(v for p in item[0] for v in _lex_key(p))
     for params, T0 in sorted(reps, key=key):
-        B = canonical_matrix(AlgebraClass(field, tag, params))
+        try:
+            B = canonical_matrix(AlgebraClass(field, tag, params))
+        except ValueError:  # 1 - xy = 0: no rank-2 class to verify
+            continue
         witness = find_isomorphism(A, B, T0)
         if witness is not None:
             if field == REAL:

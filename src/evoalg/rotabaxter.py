@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
 import zlib
 from dataclasses import dataclass
 
@@ -30,9 +31,7 @@ from .polys import Poly
 SQRT3 = math.sqrt(3.0)
 P_PLUS = complex(-0.5, SQRT3 / 6.0)    # (-3 + i sqrt3) / 6
 P_MINUS = complex(-0.5, -SQRT3 / 6.0)  # (-3 - i sqrt3) / 6
-I3 = 1j / SQRT3
 NU = cmath.exp(1j * math.pi / 6.0)     # principal sixth root of -1
-NU5 = NU**5
 
 MARGIN = 1e-3          # distance kept from side-condition sets when sampling
 ISOLATED_TOL = 1e-12   # "exact" bound for parameter-free matrices
@@ -46,30 +45,205 @@ class UnknownAlgebraError(EvoalgError):
     pass
 
 
+# --- catalog ------------------------------------------------------------------
+# Each family is one row of the text catalog_text prints (README, "Catalog
+# rows"): family id, row id, matrix, algebra parameters ("x = ..." names one
+# for the conditions), conditions ("L != R", checked per branch when they use
+# the branch variable), branch rule (one +-sqrt(z), cbrt(z) or
+# roots(c_n, ..., c_0)) and an unevaluated note.  Weight and algebra come
+# from the family id; the free parameters are the letters of the matrix and
+# algebra parameters but the branch variable, alphabetically.  Formulas use ^,
+# juxtaposition, i, sqrt3 and nu = exp(i pi/6), and are evaluated as
+# written: "3dd" is (3d)d and rounds unlike "3d^2".
+
+_ROWS = (
+    ("w0:E1", "w0:E1", "[[0, b], [0, d]]"),
+    ("w0:E2:plus", "w0:E2", "[[0, 0], [c, i*c]]"),
+    ("w0:E2:minus", "w0:E2", "[[0, 0], [c, -i*c]]"),
+    ("w0:E3:symmetric", "w0:E3", "[[a, a], [-a, -a]]"),
+    ("w0:E3:alternating", "w0:E3", "[[a, -a], [-a, a]]"),
+    ("w0:E4:upper", "w0:E4", "[[0, b], [0, d]]"),
+    ("w0:E4:halfdiag", "w0:E4", "[[a, b], [0, a/2]]"),
+    ("w0:E5(1/4,0)", "w0:E5(1/4,0)", "[[a, a/2], [-2a, -a]]", "1/4, 0"),
+    ("w0:E5(0,1/4)", "w0:E5(0,1/4)", "[[a, 2a], [-a/2, -a]]", "0, 1/4"),
+    ("w0:E5:generic", "w0:E5(x,y)", "[[a, b], [-a^2/b, -a]]",
+     "x = (2a-b)b/(3a^2), y = (2ab-a^2)/(3b^2)", "a != 0, b != 0, a != 2b, b != 2a, a != -b"),
+    ("w0:E6:curve", "w0:E6", "[[b^2/(2c), b], [c, -b^2/(2c)]]", "-3b^2/(4c^2)",
+     "c != 0, b != 0", "b = cbrt(-4c^3)", "b^3/c + 4c^2 = 0 and 3b^6/c + 16b^3c^2 + 16c^5 = 0"),
+
+    ("w1:E1:neg", "w1:E1", "[[-1, 0], [0, d]]"),
+    ("w1:E1:zero", "w1:E1", "[[0, 0], [0, d]]"),
+    ("w1:E2:line-plus", "w1:E2", "[[0, 0], [c, i*c]]"),
+    ("w1:E2:line-minus", "w1:E2", "[[0, 0], [c, -i*c]]"),
+    ("w1:E2:half-plus", "w1:E2", "[[-1/2, i/2], [-i/2, -1/2]]"),
+    ("w1:E2:half-minus", "w1:E2", "[[-1/2, -i/2], [i/2, -1/2]]"),
+    ("w1:E2:affine-plus", "w1:E2", "[[-1, 0], [c, -1+i*c]]"),
+    ("w1:E2:affine-minus", "w1:E2", "[[-1, 0], [c, -1-i*c]]"),
+    ("w1:E3:a", "w1:E3", "[[-1+b, b], [-b, -1-b]]"),
+    ("w1:E3:b", "w1:E3", "[[-1-b, b], [b, -1-b]]"),
+    ("w1:E3:c", "w1:E3", "[[b, b], [-b, -b]]"),
+    ("w1:E3:d", "w1:E3", "[[-b, b], [b, -b]]"),
+    ("w1:E4", "w1:E4", "[[a, b], [0, a^2/(1+2a)]]", "", "1+2a != 0"),
+    ("w1:E5(0,y):unit", "w1:E5(0,y):1", "[[0, 0], [1, 0]]", "0, y"),
+    ("w1:E5(0,y):cneg", "w1:E5(0,y):1", "[[0, 0], [c, -1]]", "0, y", "",
+     "c = (-1 +- sqrt(1-4y))/2"),
+    ("w1:E5(0,y):affine", "w1:E5(0,y):2", "[[-1, 0], [-1, -1]]", "0, y", "y != 0"),
+    ("w1:E5(0,y):czero", "w1:E5(0,y):2", "[[-1, 0], [c, 0]]", "0, y", "y != 0, c != 0",
+     "c = (1 +- sqrt(1-4y))/2"),
+    ("w1:E5(0,y):sqrt", "w1:E5(0,y):3", "[[(1-4y+r)/(8y-2), -1/r], [y/r, (1-4y-r)/(8y-2)]]",
+     "0, y", "y != 0, y != 1/4", "r = +-sqrt(1-4y)"),
+    ("w1:E5(x,0):unit", "w1:E5(x,0):1", "[[0, 1], [0, 0]]", "x, 0"),
+    ("w1:E5(x,0):bneg", "w1:E5(x,0):1", "[[0, b], [0, -1]]", "x, 0", "b != 0",
+     "b = (1 +- sqrt(1-4x))/2"),
+    ("w1:E5(x,0):mneg", "w1:E5(x,0):1", "[[-1, -b], [0, 0]]", "x, 0", "b != 0",
+     "b = (1 +- sqrt(1-4x))/2"),
+    ("w1:E5(x,0):affine", "w1:E5(x,0):1", "[[-1, -1], [0, -1]]", "x, 0"),
+    ("w1:E5(x,0):sqrt", "w1:E5(x,0):2", "[[(1-4x+r)/(8x-2), -x/r], [1/r, (1-4x-r)/(8x-2)]]",
+     "x, 0", "x != 0, x != 1/4", "r = +-sqrt(1-4x)"),
+    ("w1:E5(0,0)", "w1:E5(0,0)", "[[-1, 0], [0, 0]]", "0, 0"),
+    ("w1:E5:negid", "w1:E5(x,y):negid", "[[-1, 0], [0, -1]]", "x, y", "1 - xy != 0"),
+    ("w1:E5(x,1-x):conj", "w1:E5(x,1-x)",
+     "[[(-3-i*sqrt3)/6, -i/sqrt3], [i/sqrt3, (-3+i*sqrt3)/6]]", "x, 1-x",
+     "x != (1+i*sqrt3)/2, x != (1-i*sqrt3)/2"),
+    ("w1:E5(x,1-x):main", "w1:E5(x,1-x)",
+     "[[(-3+i*sqrt3)/6, i/sqrt3], [-i/sqrt3, (-3-i*sqrt3)/6]]", "x, 1-x",
+     "x != (1+i*sqrt3)/2, x != (1-i*sqrt3)/2"),
+    # y carries no c^2 denominator: it solves c^2 + d^2 y = (2d+1)(ay + c)
+    # with a = -1-d directly, and only this form makes the residual vanish
+    # identically in (c, d)
+    ("w1:E5:caseD", "w1:E5(x,y):caseD", "[[-1-d, -d(1+d)/c], [c, d]]",
+     "x = d(1+d)(c+2cd-d(1+d))/(cc(1+3d+3dd)), y = c(1-c+2d)/(1+3d+3dd)",
+     "d != 0, d != -1, 1+3d+3d^2 != 0, c != 0, 1+2d != 0, c != d(1+d)/(1+2d), "
+     "c != 1+2d, 1 - xy != 0"),
+    ("w1:E6(0):diag-1", "w1:E6(0)", "[[(-3+i*sqrt3)/6, 0], [0, (-3-i*sqrt3)/6]]", "0"),
+    ("w1:E6(0):diag-2", "w1:E6(0)", "[[(-3-i*sqrt3)/6, 0], [0, (-3+i*sqrt3)/6]]", "0"),
+    ("w1:E6(0):off-1", "w1:E6(0)", "[[(-3+i*sqrt3)/6, -i/sqrt3], [i/sqrt3, (-3-i*sqrt3)/6]]", "0"),
+    ("w1:E6(0):off-2", "w1:E6(0)", "[[(-3-i*sqrt3)/6, i/sqrt3], [-i/sqrt3, (-3+i*sqrt3)/6]]", "0"),
+    ("w1:E6(0):off-3", "w1:E6(0)", "[[(-3-i*sqrt3)/6, -nu/sqrt3], [nu^5/sqrt3, (-3+i*sqrt3)/6]]",
+     "0", "", "", "nu = exp(i pi/6)"),
+    ("w1:E6(0):off-4", "w1:E6(0)", "[[(-3+i*sqrt3)/6, nu/sqrt3], [-nu^5/sqrt3, (-3-i*sqrt3)/6]]",
+     "0", "", "", "nu = exp(i pi/6)"),
+    # the lower-left sign here is the one that solves the defining system;
+    # the opposite sign does not (pinned in the tests)
+    ("w1:E6(0):off-5", "w1:E6(0)", "[[(-3+i*sqrt3)/6, nu^5/sqrt3], [-nu/sqrt3, (-3-i*sqrt3)/6]]",
+     "0", "", "", "nu = exp(i pi/6)"),
+    ("w1:E6(0):off-6", "w1:E6(0)", "[[(-3-i*sqrt3)/6, -nu^5/sqrt3], [nu/sqrt3, (-3+i*sqrt3)/6]]",
+     "0", "", "", "nu = exp(i pi/6)"),
+    ("w1:E6:negid", "w1:E6(x):negid", "[[-1, 0], [0, -1]]", "x"),
+    ("w1:E6:curve", "w1:E6(curve)", "[[(b^2-c)/(2c), b], [c, (-b^2-c)/(2c)]]",
+     "(-b^3-c^3)/(bc^2)", "c != 0, b != 0, b^3 + c^3 != 0", "b = roots(1, 0, 0, 4c^3, -c^2)",
+     "b^4/c + 4bc^2 = c and (b^6+5b^3c^3+4c^6)/c = c(b^3+c^3)/b"),
+)
+
+
+def _cubic_branches(z: complex):
+    """All three cube roots, principal first."""
+    r = z ** (1.0 / 3.0)
+    w = complex(-0.5, SQRT3 / 2.0)
+    return [r, r * w, r * w * w]
+
+
+def _sqrt_branches(z: complex):
+    r = cmath.sqrt(z)
+    return [r, -r]
+
+
+def _poly_roots(*coeffs):
+    """Polynomial roots (coefficients highest first), by real then imaginary part."""
+    roots = np.roots(coeffs)
+    return [complex(b) for b in sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))]
+
+
+# formulas compile against this namespace only; no builtins are reachable
+_NAMESPACE = {"__builtins__": {}, "i": 1j, "sqrt3": SQRT3, "nu": NU, "sqrt": _sqrt_branches,
+              "cbrt": _cubic_branches, "roots": _poly_roots}
+_TOKEN = re.compile(r"\d+|sqrt3|nu|[a-z]|[-+*/()^]")
+_BRANCH = re.compile(r"(\w) = (.*?)(?:\+- ?)?(sqrt|cbrt|roots)\(([^()]*)\)(.*)")
+
+
+def _source(text: str, macros: dict) -> tuple[str, set]:
+    """Python source of one formula, and the parameters it reads.  A letter in
+    `macros` stands for that compiled source, i and nu for themselves, and any
+    other letter n reads p["n"].  A constant formula is evaluated once."""
+    tokens = _TOKEN.findall(text)
+    if "".join(tokens) != text.replace(" ", ""):
+        raise ValueError(f"bad catalog formula {text!r}")
+    out, names, prev = [], set(), "("
+    for tok in tokens:
+        operand = tok not in "-+*/()^"
+        if (operand or tok == "(") and prev not in "-+*/(^":
+            out.append("*")  # juxtaposition
+        if tok.isalpha() and tok not in _NAMESPACE:
+            src, used = macros.get(tok, (f"p[{tok!r}]", {tok}))
+            out.append(f"({src})" if tok in macros else src)
+            names |= used
+        else:
+            out.append("**" if tok == "^" else tok)
+        prev = tok
+    src = "".join(out)
+    if not names:
+        const = f"_k{len(_NAMESPACE)}"
+        _NAMESPACE[const] = complex(eval(src, _NAMESPACE))
+        src = const
+    return src, names
+
+
+def _function(body: str):
+    return eval(f"lambda p: {body}", _NAMESPACE)
+
+
 @dataclass(frozen=True)
 class RboFamily:
-    """One matrix template of a catalog row.
+    """One matrix template of a catalog row, compiled from its row of text
+    (see _ROWS; `template` is the matrix).
 
     `expand` maps sampled free parameters to concrete parameter dicts (one
     per branch, e.g. the two signs of a square root); `mat` and `algebra_params`
     read the operator matrix and the algebra parameters off an expanded dict.
     `conditions` are margin-checked quantities that must stay away from zero
-    for the sample to be admissible.
+    for the sample to be admissible, `branch_conditions` likewise per branch.
     """
 
     family_id: str
     row_id: str
-    algebra: str
-    weight: int
-    free_params: tuple[str, ...]
     template: str
-    conditions_text: str
-    mat: callable
-    algebra_params: callable
-    expand: callable = None
-    conditions: tuple = ()
-    branch_conditions: tuple = ()
-    fit: callable = None
+    algebra_text: str = ""
+    conditions_text: str = ""
+    branch_text: str = ""
+    note: str = ""
+
+    def __post_init__(self):
+        slots = self.template[2:-2].replace("], [", ", ").split(", ")
+        mat = [_source(s, {}) for s in slots]
+        items = [item.rpartition(" = ") for item in filter(None, self.algebra_text.split(", "))]
+        params = [_source(formula, {}) for _, _, formula in items]
+        macros = {name: src for (name, _, _), src in zip(items, params) if name}
+        var, expand = None, None
+        if self.branch_text:
+            var, head, roots, args, tail = _BRANCH.fullmatch(self.branch_text).groups()
+            # _w takes each value of the namespace's sqrt, cbrt or roots in turn
+            value = _source(f"{head}+{var}{tail}" if head else var, {var: ("_w", {var})})[0]
+            args = ", ".join(_source(a, {})[0] for a in args.split(", "))
+            expand = _function(f"[{{**p, {var!r}: {value}}} for _w in {roots}({args})]")
+        conds = []
+        for item in filter(None, self.conditions_text.split(", ")):
+            left, right = item.split(" != ")
+            conds.append(_source(left if right == "0" else f"({left})-({right})", macros))
+        free = sorted(set().union(*(used for _, used in mat + params)) - {var})
+        self.__dict__.update(  # the compiled attributes; the dataclass is frozen
+            weight=int(self.family_id[1]),
+            algebra=self.family_id.split(":")[1][:2],
+            free_params=tuple(free),
+            mat=_function("(({}, {}), ({}, {}))".format(*(s for s, _ in mat))),
+            algebra_params=_function("({})".format("".join(s + ", " for s, _ in params))),
+            expand=expand,
+            conditions=tuple(_function(s) for s, used in conds if var not in used),
+            branch_conditions=tuple(_function(s) for s, used in conds if var in used),
+            # a free parameter is read off the first slot that is that name
+            # alone, otherwise off the algebra parameters (x first, then y)
+            read_off=tuple((n, slots.index(n) if n in slots else 4 + "xy".index(n))
+                           for n in free),
+        )
 
     @property
     def isolated(self) -> bool:
@@ -92,404 +266,22 @@ class RboFamily:
     def instantiate(self, p: dict):
         """All branch instantiations for the parameter dict: list of
         (operator matrix, algebra parameter tuple)."""
-        expanded = self.expand(p) if self.expand else [dict(p)]
         out = []
-        for q in expanded:
-            if any(abs(cond(q)) < MARGIN for cond in self.branch_conditions):
-                continue
-            out.append((self.mat(q), tuple(self.algebra_params(q))))
+        for q in self.expand(p) if self.expand else [dict(p)]:
+            if not any(abs(cond(q)) < MARGIN for cond in self.branch_conditions):
+                out.append((self.mat(q), self.algebra_params(q)))
         return out
 
     def candidate_matrices(self, algebra_params, R):
         """Matrices of this family closest in spirit to R (for annotating
-        search output); uses the read-off `fit` plus branch expansion."""
-        guesses = []
-        if self.fit is not None:
-            guesses = self.fit(R, algebra_params)
-        elif not self.free_params:
-            guesses = [{}]
-        out = []
-        for g in guesses:
-            for q in self.expand(g) if self.expand else [g]:
-                out.append((self.mat(q), tuple(self.algebra_params(q))))
-        return out
+        search output): the free parameters read off R and algebra_params,
+        expanded over every branch."""
+        g = {n: R[k // 2][k % 2] if k < 4 else algebra_params[k - 4] for n, k in self.read_off}
+        return [(self.mat(q), self.algebra_params(q))
+                for q in (self.expand(g) if self.expand else [g])]
 
 
-# --- catalog ------------------------------------------------------------------
-
-
-def _w0_families():
-    fams = []
-
-    fams.append(RboFamily(
-        "w0:E1", "w0:E1", "E1", 0, ("b", "d"),
-        "[[0, b], [0, d]]", "",
-        mat=lambda p: ((0j, p["b"]), (0j, p["d"])),
-        algebra_params=lambda p: (),
-        fit=lambda R, ap: [{"b": R[0][1], "d": R[1][1]}],
-    ))
-    for sign, name in ((1, "plus"), (-1, "minus")):
-        fams.append(RboFamily(
-            f"w0:E2:{name}", "w0:E2", "E2", 0, ("c",),
-            f"[[0, 0], [c, {'' if sign > 0 else '-'}i*c]]", "",
-            mat=lambda p, s=sign: ((0j, 0j), (p["c"], s * 1j * p["c"])),
-            algebra_params=lambda p: (),
-            fit=lambda R, ap: [{"c": R[1][0]}],
-        ))
-    for sgn, name in ((1, "symmetric"), (-1, "alternating")):
-        fams.append(RboFamily(
-            f"w0:E3:{name}", "w0:E3", "E3", 0, ("a",),
-            f"[[a, {'a' if sgn > 0 else '-a'}], [-a, {'-a' if sgn > 0 else 'a'}]]", "",
-            mat=lambda p, s=sgn: ((p["a"], s * p["a"]), (-p["a"], -s * p["a"])),
-            algebra_params=lambda p: (),
-            fit=lambda R, ap: [{"a": R[0][0]}],
-        ))
-    fams.append(RboFamily(
-        "w0:E4:upper", "w0:E4", "E4", 0, ("b", "d"),
-        "[[0, b], [0, d]]", "",
-        mat=lambda p: ((0j, p["b"]), (0j, p["d"])),
-        algebra_params=lambda p: (),
-        fit=lambda R, ap: [{"b": R[0][1], "d": R[1][1]}],
-    ))
-    fams.append(RboFamily(
-        "w0:E4:halfdiag", "w0:E4", "E4", 0, ("a", "b"),
-        "[[a, b], [0, a/2]]", "",
-        mat=lambda p: ((p["a"], p["b"]), (0j, p["a"] / 2.0)),
-        algebra_params=lambda p: (),
-        fit=lambda R, ap: [{"a": R[0][0], "b": R[0][1]}],
-    ))
-    fams.append(RboFamily(
-        "w0:E5(1/4,0)", "w0:E5(1/4,0)", "E5", 0, ("a",),
-        "[[a, a/2], [-2a, -a]]", "",
-        mat=lambda p: ((p["a"], p["a"] / 2.0), (-2.0 * p["a"], -p["a"])),
-        algebra_params=lambda p: (0.25, 0.0),
-        fit=lambda R, ap: [{"a": R[0][0]}],
-    ))
-    fams.append(RboFamily(
-        "w0:E5(0,1/4)", "w0:E5(0,1/4)", "E5", 0, ("a",),
-        "[[a, 2a], [-a/2, -a]]", "",
-        mat=lambda p: ((p["a"], 2.0 * p["a"]), (-p["a"] / 2.0, -p["a"])),
-        algebra_params=lambda p: (0.0, 0.25),
-        fit=lambda R, ap: [{"a": R[0][0]}],
-    ))
-    fams.append(RboFamily(
-        "w0:E5:generic", "w0:E5(x,y)", "E5", 0, ("a", "b"),
-        "[[a, b], [-a^2/b, -a]]",
-        "a != 0, b != 0, a != 2b, b != 2a, a != -b; x = (2a-b)b/(3a^2), y = (2ab-a^2)/(3b^2)",
-        mat=lambda p: ((p["a"], p["b"]), (-p["a"] ** 2 / p["b"], -p["a"])),
-        algebra_params=lambda p: (
-            (2.0 * p["a"] - p["b"]) * p["b"] / (3.0 * p["a"] ** 2),
-            (-p["a"] ** 2 + 2.0 * p["a"] * p["b"]) / (3.0 * p["b"] ** 2),
-        ),
-        conditions=(
-            lambda p: p["a"],
-            lambda p: p["b"],
-            lambda p: p["a"] - 2.0 * p["b"],
-            lambda p: p["b"] - 2.0 * p["a"],
-            lambda p: p["a"] + p["b"],
-        ),
-        fit=lambda R, ap: [{"a": R[0][0], "b": R[0][1]}],
-    ))
-    fams.append(RboFamily(
-        "w0:E6:curve", "w0:E6", "E6", 0, ("c",),
-        "[[b^2/(2c), b], [c, -b^2/(2c)]]",
-        "b != 0, c != 0, b^3/c + 4c^2 = 0 and 3b^6/c + 16b^3c^2 + 16c^5 = 0; "
-        "algebra parameter -3b^2/(4c^2)",
-        mat=lambda p: ((p["b"] ** 2 / (2 * p["c"]), p["b"]),
-                       (p["c"], -p["b"] ** 2 / (2 * p["c"]))),
-        algebra_params=lambda p: (-3.0 * p["b"] ** 2 / (4.0 * p["c"] ** 2),),
-        expand=lambda p: [dict(p, b=b) for b in _cubic_branches(-4.0 * p["c"] ** 3)],
-        conditions=(lambda p: p["c"],),
-        branch_conditions=(lambda p: p["b"],),
-        fit=lambda R, ap: [{"c": R[1][0]}],
-    ))
-    return fams
-
-
-def _cubic_branches(z: complex):
-    """All three cube roots, principal first."""
-    r = z ** (1.0 / 3.0)
-    w = complex(-0.5, SQRT3 / 2.0)
-    return [r, r * w, r * w * w]
-
-
-def _sqrt_branches(z: complex):
-    r = cmath.sqrt(z)
-    return [r, -r]
-
-
-def _w1_families():
-    fams = []
-
-    fams.append(RboFamily(
-        "w1:E1:neg", "w1:E1", "E1", 1, ("d",),
-        "[[-1, 0], [0, d]]", "",
-        mat=lambda p: ((-1.0 + 0j, 0j), (0j, p["d"])),
-        algebra_params=lambda p: (),
-        fit=lambda R, ap: [{"d": R[1][1]}],
-    ))
-    fams.append(RboFamily(
-        "w1:E1:zero", "w1:E1", "E1", 1, ("d",),
-        "[[0, 0], [0, d]]", "",
-        mat=lambda p: ((0j, 0j), (0j, p["d"])),
-        algebra_params=lambda p: (),
-        fit=lambda R, ap: [{"d": R[1][1]}],
-    ))
-    for sign, name in ((1, "line-plus"), (-1, "line-minus")):
-        fams.append(RboFamily(
-            f"w1:E2:{name}", "w1:E2", "E2", 1, ("c",),
-            f"[[0, 0], [c, {'' if sign > 0 else '-'}i*c]]", "",
-            mat=lambda p, s=sign: ((0j, 0j), (p["c"], s * 1j * p["c"])),
-            algebra_params=lambda p: (),
-            fit=lambda R, ap: [{"c": R[1][0]}],
-        ))
-    for sign, name in ((1, "half-plus"), (-1, "half-minus")):
-        fams.append(RboFamily(
-            f"w1:E2:{name}", "w1:E2", "E2", 1, (),
-            f"[[-1/2, {'' if sign > 0 else '-'}i/2], [{'-' if sign > 0 else ''}i/2, -1/2]]", "",
-            mat=lambda p, s=sign: ((-0.5 + 0j, s * 0.5j), (-s * 0.5j, -0.5 + 0j)),
-            algebra_params=lambda p: (),
-        ))
-    for sign, name in ((1, "affine-plus"), (-1, "affine-minus")):
-        fams.append(RboFamily(
-            f"w1:E2:{name}", "w1:E2", "E2", 1, ("c",),
-            f"[[-1, 0], [c, -1{'+' if sign > 0 else '-'}i*c]]", "",
-            mat=lambda p, s=sign: ((-1.0 + 0j, 0j), (p["c"], -1.0 + s * 1j * p["c"])),
-            algebra_params=lambda p: (),
-            fit=lambda R, ap: [{"c": R[1][0]}],
-        ))
-    e3_mats = {
-        "a": (lambda p: ((-1.0 + p["b"], p["b"]), (-p["b"], -1.0 - p["b"])),
-              "[[-1+b, b], [-b, -1-b]]"),
-        "b": (lambda p: ((-1.0 - p["b"], p["b"]), (p["b"], -1.0 - p["b"])),
-              "[[-1-b, b], [b, -1-b]]"),
-        "c": (lambda p: ((p["b"], p["b"]), (-p["b"], -p["b"])),
-              "[[b, b], [-b, -b]]"),
-        "d": (lambda p: ((-p["b"], p["b"]), (p["b"], -p["b"])),
-              "[[-b, b], [b, -b]]"),
-    }
-    for name, (fn, tpl) in e3_mats.items():
-        fams.append(RboFamily(
-            f"w1:E3:{name}", "w1:E3", "E3", 1, ("b",), tpl, "",
-            mat=fn,
-            algebra_params=lambda p: (),
-            fit=lambda R, ap: [{"b": R[0][1]}],
-        ))
-    fams.append(RboFamily(
-        "w1:E4", "w1:E4", "E4", 1, ("a", "b"),
-        "[[a, b], [0, a^2/(1+2a)]]", "a != -1/2",
-        mat=lambda p: ((p["a"], p["b"]), (0j, p["a"] ** 2 / (1.0 + 2.0 * p["a"]))),
-        algebra_params=lambda p: (),
-        conditions=(lambda p: 1.0 + 2.0 * p["a"],),
-        fit=lambda R, ap: [{"a": R[0][0], "b": R[0][1]}],
-    ))
-
-    # E5(0,y) rows
-    fams.append(RboFamily(
-        "w1:E5(0,y):unit", "w1:E5(0,y):1", "E5", 1, ("y",),
-        "[[0, 0], [1, 0]]", "algebra E5(0, y)",
-        mat=lambda p: ((0j, 0j), (1.0 + 0j, 0j)),
-        algebra_params=lambda p: (0.0, p["y"]),
-        fit=lambda R, ap: [{"y": ap[1]}],
-    ))
-    fams.append(RboFamily(
-        "w1:E5(0,y):cneg", "w1:E5(0,y):1", "E5", 1, ("y",),
-        "[[0, 0], [c, -1]] with c = (-1 +- sqrt(1-4y))/2", "algebra E5(0, y)",
-        mat=lambda p: ((0j, 0j), (p["c"], -1.0 + 0j)),
-        algebra_params=lambda p: (0.0, p["y"]),
-        expand=lambda p: [dict(p, c=(-1.0 + r) / 2.0) for r in _sqrt_branches(1.0 - 4.0 * p["y"])],
-        fit=lambda R, ap: [{"y": ap[1]}],
-    ))
-    fams.append(RboFamily(
-        "w1:E5(0,y):affine", "w1:E5(0,y):2", "E5", 1, ("y",),
-        "[[-1, 0], [-1, -1]]", "algebra E5(0, y), y != 0",
-        mat=lambda p: ((-1.0 + 0j, 0j), (-1.0 + 0j, -1.0 + 0j)),
-        algebra_params=lambda p: (0.0, p["y"]),
-        conditions=(lambda p: p["y"],),
-        fit=lambda R, ap: [{"y": ap[1]}],
-    ))
-    fams.append(RboFamily(
-        "w1:E5(0,y):czero", "w1:E5(0,y):2", "E5", 1, ("y",),
-        "[[-1, 0], [c, 0]] with c = (1 +- sqrt(1-4y))/2, c != 0", "algebra E5(0, y), y != 0",
-        mat=lambda p: ((-1.0 + 0j, 0j), (p["c"], 0j)),
-        algebra_params=lambda p: (0.0, p["y"]),
-        expand=lambda p: [dict(p, c=(1.0 + r) / 2.0) for r in _sqrt_branches(1.0 - 4.0 * p["y"])],
-        conditions=(lambda p: p["y"],),
-        branch_conditions=(lambda p: p["c"],),
-        fit=lambda R, ap: [{"y": ap[1]}],
-    ))
-    fams.append(RboFamily(
-        "w1:E5(0,y):sqrt", "w1:E5(0,y):3", "E5", 1, ("y",),
-        "[[(1-4y+r)/(8y-2), -1/r], [y/r, (1-4y-r)/(8y-2)]] with r = +-sqrt(1-4y)",
-        "algebra E5(0, y), y != 0, y != 1/4",
-        mat=lambda p: (((1.0 - 4.0 * p["y"] + p["r"]) / (8.0 * p["y"] - 2.0), -1.0 / p["r"]),
-                       (p["y"] / p["r"], (1.0 - 4.0 * p["y"] - p["r"]) / (8.0 * p["y"] - 2.0))),
-        algebra_params=lambda p: (0.0, p["y"]),
-        expand=lambda p: [dict(p, r=r) for r in _sqrt_branches(1.0 - 4.0 * p["y"])],
-        conditions=(lambda p: p["y"], lambda p: p["y"] - 0.25),
-        fit=lambda R, ap: [{"y": ap[1]}],
-    ))
-
-    # E5(x,0) rows
-    fams.append(RboFamily(
-        "w1:E5(x,0):unit", "w1:E5(x,0):1", "E5", 1, ("x",),
-        "[[0, 1], [0, 0]]", "algebra E5(x, 0)",
-        mat=lambda p: ((0j, 1.0 + 0j), (0j, 0j)),
-        algebra_params=lambda p: (p["x"], 0.0),
-        fit=lambda R, ap: [{"x": ap[0]}],
-    ))
-    fams.append(RboFamily(
-        "w1:E5(x,0):bneg", "w1:E5(x,0):1", "E5", 1, ("x",),
-        "[[0, b], [0, -1]] with b = (1 +- sqrt(1-4x))/2, b != 0", "algebra E5(x, 0)",
-        mat=lambda p: ((0j, p["b"]), (0j, -1.0 + 0j)),
-        algebra_params=lambda p: (p["x"], 0.0),
-        expand=lambda p: [dict(p, b=(1.0 + r) / 2.0) for r in _sqrt_branches(1.0 - 4.0 * p["x"])],
-        branch_conditions=(lambda p: p["b"],),
-        fit=lambda R, ap: [{"x": ap[0]}],
-    ))
-    fams.append(RboFamily(
-        "w1:E5(x,0):mneg", "w1:E5(x,0):1", "E5", 1, ("x",),
-        "[[-1, -b], [0, 0]] with b = (1 +- sqrt(1-4x))/2, b != 0", "algebra E5(x, 0)",
-        mat=lambda p: ((-1.0 + 0j, -p["b"]), (0j, 0j)),
-        algebra_params=lambda p: (p["x"], 0.0),
-        expand=lambda p: [dict(p, b=(1.0 + r) / 2.0) for r in _sqrt_branches(1.0 - 4.0 * p["x"])],
-        branch_conditions=(lambda p: p["b"],),
-        fit=lambda R, ap: [{"x": ap[0]}],
-    ))
-    fams.append(RboFamily(
-        "w1:E5(x,0):affine", "w1:E5(x,0):1", "E5", 1, ("x",),
-        "[[-1, -1], [0, -1]]", "algebra E5(x, 0)",
-        mat=lambda p: ((-1.0 + 0j, -1.0 + 0j), (0j, -1.0 + 0j)),
-        algebra_params=lambda p: (p["x"], 0.0),
-        fit=lambda R, ap: [{"x": ap[0]}],
-    ))
-    fams.append(RboFamily(
-        "w1:E5(x,0):sqrt", "w1:E5(x,0):2", "E5", 1, ("x",),
-        "[[(1-4x+r)/(8x-2), -x/r], [1/r, (1-4x-r)/(8x-2)]] with r = +-sqrt(1-4x)",
-        "algebra E5(x, 0), x != 0, x != 1/4",
-        mat=lambda p: (((1.0 - 4.0 * p["x"] + p["r"]) / (8.0 * p["x"] - 2.0), -p["x"] / p["r"]),
-                       (1.0 / p["r"], (1.0 - 4.0 * p["x"] - p["r"]) / (8.0 * p["x"] - 2.0))),
-        algebra_params=lambda p: (p["x"], 0.0),
-        expand=lambda p: [dict(p, r=r) for r in _sqrt_branches(1.0 - 4.0 * p["x"])],
-        conditions=(lambda p: p["x"], lambda p: p["x"] - 0.25),
-        fit=lambda R, ap: [{"x": ap[0]}],
-    ))
-
-    fams.append(RboFamily(
-        "w1:E5(0,0)", "w1:E5(0,0)", "E5", 1, (),
-        "[[-1, 0], [0, 0]]", "algebra E5(0, 0)",
-        mat=lambda p: ((-1.0 + 0j, 0j), (0j, 0j)),
-        algebra_params=lambda p: (0.0, 0.0),
-    ))
-    fams.append(RboFamily(
-        "w1:E5:negid", "w1:E5(x,y):negid", "E5", 1, ("x", "y"),
-        "[[-1, 0], [0, -1]]", "algebra E5(x, y), 1 - xy != 0",
-        mat=lambda p: ((-1.0 + 0j, 0j), (0j, -1.0 + 0j)),
-        algebra_params=lambda p: (p["x"], p["y"]),
-        conditions=(lambda p: 1.0 - p["x"] * p["y"],),
-        fit=lambda R, ap: [{"x": ap[0], "y": ap[1]}],
-    ))
-    for which, name, m in (
-        ("a", "conj", ((P_MINUS, -I3), (I3, P_PLUS))),
-        ("b", "main", ((P_PLUS, I3), (-I3, P_MINUS))),
-    ):
-        fams.append(RboFamily(
-            f"w1:E5(x,1-x):{name}", "w1:E5(x,1-x)", "E5", 1, ("x",),
-            "[[(-3-+i*sqrt3)/6, -+i/sqrt3], [+-i/sqrt3, (-3+-i*sqrt3)/6]]",
-            "algebra E5(x, 1-x), x != (1 +- i*sqrt3)/2",
-            mat=lambda p, mm=m: mm,
-            algebra_params=lambda p: (p["x"], 1.0 - p["x"]),
-            conditions=(
-                lambda p: p["x"] - complex(0.5, SQRT3 / 2.0),
-                lambda p: p["x"] - complex(0.5, -SQRT3 / 2.0),
-            ),
-            fit=lambda R, ap: [{"x": ap[0]}],
-        ))
-    fams.append(RboFamily(
-        "w1:E5:caseD", "w1:E5(x,y):caseD", "E5", 1, ("c", "d"),
-        "[[-1-d, -d(1+d)/c], [c, d]]",
-        "d != 0, d != -1, d != (-3 +- i*sqrt3)/6, c != 0, c != d(1+d)/(1+2d), "
-        "c != 1+2d; x = d(1+d)(c+2cd-d(1+d))/(c^2(1+3d+3d^2)), "
-        "y = c(1-c+2d)/(1+3d+3d^2)",
-        mat=lambda p: ((-1.0 - p["d"], -p["d"] * (1.0 + p["d"]) / p["c"]),
-                       (p["c"], p["d"])),
-        algebra_params=lambda p: _case_d_xy(p["c"], p["d"]),
-        conditions=(
-            lambda p: p["d"],
-            lambda p: p["d"] + 1.0,
-            lambda p: 1.0 + 3.0 * p["d"] + 3.0 * p["d"] ** 2,
-            lambda p: p["c"],
-            lambda p: 1.0 + 2.0 * p["d"],
-            lambda p: p["c"] - p["d"] * (1.0 + p["d"]) / (1.0 + 2.0 * p["d"]),
-            lambda p: p["c"] - (1.0 + 2.0 * p["d"]),
-            lambda p: 1.0 - _case_d_xy(p["c"], p["d"])[0] * _case_d_xy(p["c"], p["d"])[1],
-        ),
-        fit=lambda R, ap: [{"c": R[1][0], "d": R[1][1]}],
-    ))
-
-    # E6 rows
-    e60 = [
-        ("diag-1", ((P_PLUS, 0j), (0j, P_MINUS))),
-        ("diag-2", ((P_MINUS, 0j), (0j, P_PLUS))),
-        ("off-1", ((P_PLUS, -I3), (I3, P_MINUS))),
-        ("off-2", ((P_MINUS, I3), (-I3, P_PLUS))),
-        ("off-3", ((P_MINUS, -NU / SQRT3), (NU5 / SQRT3, P_PLUS))),
-        ("off-4", ((P_PLUS, NU / SQRT3), (-NU5 / SQRT3, P_MINUS))),
-        # the lower-left sign here is the one that solves the defining
-        # system; the opposite sign does not (pinned in the tests)
-        ("off-5", ((P_PLUS, NU5 / SQRT3), (-NU / SQRT3, P_MINUS))),
-        ("off-6", ((P_MINUS, -NU5 / SQRT3), (NU / SQRT3, P_PLUS))),
-    ]
-    for name, m in e60:
-        fams.append(RboFamily(
-            f"w1:E6(0):{name}", "w1:E6(0)", "E6", 1, (),
-            "fixed matrix over E6(0)", "algebra E6(0)",
-            mat=lambda p, mm=m: mm,
-            algebra_params=lambda p: (0.0,),
-        ))
-    fams.append(RboFamily(
-        "w1:E6:negid", "w1:E6(x):negid", "E6", 1, ("x",),
-        "[[-1, 0], [0, -1]]", "algebra E6(x)",
-        mat=lambda p: ((-1.0 + 0j, 0j), (0j, -1.0 + 0j)),
-        algebra_params=lambda p: (p["x"],),
-        fit=lambda R, ap: [{"x": ap[0]}],
-    ))
-    fams.append(RboFamily(
-        "w1:E6:curve", "w1:E6(curve)", "E6", 1, ("c",),
-        "[[(b^2-c)/(2c), b], [c, (-b^2-c)/(2c)]]",
-        "b != 0, c != 0, b^3 + c^3 != 0, b^4/c + 4bc^2 = c and "
-        "(b^6+5b^3c^3+4c^6)/c = c(b^3+c^3)/b; algebra parameter (-b^3-c^3)/(bc^2)",
-        mat=lambda p: (((p["b"] ** 2 - p["c"]) / (2.0 * p["c"]), p["b"]),
-                       (p["c"], (-p["b"] ** 2 - p["c"]) / (2.0 * p["c"]))),
-        algebra_params=lambda p: ((-p["b"] ** 3 - p["c"] ** 3) / (p["b"] * p["c"] ** 2),),
-        expand=lambda p: [dict(p, b=b) for b in _quartic_curve_branches(p["c"])],
-        conditions=(lambda p: p["c"],),
-        branch_conditions=(
-            lambda p: p["b"],
-            lambda p: p["b"] ** 3 + p["c"] ** 3,
-        ),
-        fit=lambda R, ap: [{"c": R[1][0]}],
-    ))
-    return fams
-
-
-def _case_d_xy(c: complex, d: complex):
-    # y carries no c^2 denominator: it solves c^2 + d^2 y = (2d+1)(ay + c)
-    # with a = -1-d directly, and only this form makes the residual vanish
-    # identically in (c, d)
-    x = d * (1.0 + d) * (c + 2.0 * c * d - d * (1.0 + d)) / (
-        c * c * (1.0 + 3.0 * d + 3.0 * d * d))
-    y = c * (1.0 - c + 2.0 * d) / (1.0 + 3.0 * d + 3.0 * d * d)
-    return (x, y)
-
-
-def _quartic_curve_branches(c: complex):
-    """Roots b of b^4 + 4b c^3 - c^2 = 0 (the weight-1 constraint curve)."""
-    roots = np.roots([1.0, 0.0, 0.0, 4.0 * c**3, -(c**2)])
-    return [complex(b) for b in sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))]
-
-
-_ALL_FAMILIES = _w0_families() + _w1_families()
+_ALL_FAMILIES = [RboFamily(*row) for row in _ROWS]
 
 
 def catalog(algebra: str, weight: int) -> list[RboFamily]:
@@ -510,19 +302,26 @@ def catalog_rows(weight: int) -> list[str]:
 
 
 def catalog_text(weight: int | None = None) -> str:
-    """Structured text export of the catalog."""
+    """Structured text export of the catalog: each family's row of text."""
     lines = []
     for f in _ALL_FAMILIES:
         if weight is not None and f.weight != weight:
             continue
-        lines.append(f"family: {f.family_id}")
-        lines.append(f"  row: {f.row_id}")
-        lines.append(f"  algebra: {f.algebra}")
-        lines.append(f"  weight: {f.weight}")
-        lines.append(f"  free parameters: {', '.join(f.free_params) if f.free_params else '(none)'}")
-        lines.append(f"  matrix: {f.template}")
+        items = f.algebra_text.split(", ") if f.algebra_text else []
+        named = ", ".join(item for item in items if " = " in item)
+        lines += [
+            f"family: {f.family_id}",
+            f"  row: {f.row_id}",
+            f"  algebra: {f.algebra}" + (f"({', '.join(i.split(' = ')[0] for i in items)})"
+                                         if items else "") + (f" with {named}" if named else ""),
+            f"  weight: {f.weight}",
+            f"  free parameters: {', '.join(f.free_params) or '(none)'}",
+            f"  matrix: {f.template}" + (f" with {f.branch_text}" if f.branch_text else ""),
+        ]
         if f.conditions_text:
             lines.append(f"  conditions: {f.conditions_text}")
+        if f.note:
+            lines.append(f"  note: {f.note}")
     return "\n".join(lines) + "\n"
 
 
@@ -611,30 +410,27 @@ def verify_exclusions(samples: int = 10, seed: int = 0, tol: float = 1e-12):
     point("quartic-d2", "a=0, b=-1, c=1, d=-2 forces x=y=-1", -1.0, -1.0)
     point("caseA-allneg", "a=b=c=d=-1 forces x=y=1", 1.0, 1.0)
 
-    def sampled(case_id, desc, xy_fn, bad=()):
+    bad = (0.0, -0.5, -1.0, P_PLUS, P_MINUS)  # where the formulas below break down
+
+    def sampled(case_id, desc):
+        # desc holds the two formulas, compiled like the catalog's
+        (xs, (var,)), (ys, _) = (_source(item.split(" = ")[1], {}) for item in desc.split(", "))
+        xy = _function(f"({xs}, {ys})")
         worst = 0.0
         got = 0
         while got < samples:
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             if any(abs(z - w) < MARGIN for w in bad):
                 continue
-            x, y = xy_fn(z)
+            x, y = xy({var: z})
             worst = max(worst, abs(x * y - 1.0))
             got += 1
         out.append(ExclusionCheck(case_id, desc, samples, worst, worst <= tol))
 
-    bad_a = (0.0, -0.5, -1.0, P_PLUS, P_MINUS)
-    sampled("caseB-1", "x1 = -(1+2a)^2/a^2, y1 = -a^2/(1+2a)^2",
-            lambda a: (-(1 + 2 * a) ** 2 / a**2, -(a**2) / (1 + 2 * a) ** 2), bad_a)
-    sampled("caseB-2", "x2 = -(1+2a)^2/(1+a)^2, y2 = -(1+a)^2/(1+2a)^2",
-            lambda a: (-(1 + 2 * a) ** 2 / (1 + a) ** 2, -((1 + a) ** 2) / (1 + 2 * a) ** 2),
-            bad_a)
-    bad_d = (0.0, -0.5, -1.0, P_PLUS, P_MINUS)
-    sampled("caseC-1", "x1 = -d^2/(1+2d)^2, y1 = -(1+2d)^2/d^2",
-            lambda d: (-(d**2) / (1 + 2 * d) ** 2, -((1 + 2 * d) ** 2) / d**2), bad_d)
-    sampled("caseC-2", "x2 = -(1+d)^2/(1+2d)^2, y2 = -(1+2d)^2/(1+d)^2",
-            lambda d: (-((1 + d) ** 2) / (1 + 2 * d) ** 2, -((1 + 2 * d) ** 2) / (1 + d) ** 2),
-            bad_d)
+    sampled("caseB-1", "x1 = -(1+2a)^2/a^2, y1 = -a^2/(1+2a)^2")
+    sampled("caseB-2", "x2 = -(1+2a)^2/(1+a)^2, y2 = -(1+a)^2/(1+2a)^2")
+    sampled("caseC-1", "x1 = -d^2/(1+2d)^2, y1 = -(1+2d)^2/d^2")
+    sampled("caseC-2", "x2 = -(1+d)^2/(1+2d)^2, y2 = -(1+2d)^2/(1+d)^2")
     return out
 
 
@@ -728,7 +524,11 @@ def _annotator(A: StructureMatrix, weight: int):
     fams, ap = [], ()
     for tag in ("E1", "E2", "E3", "E4", "E5", "E6"):
         params = layout.get(tag, ())
-        if algebra_matrix(tag, params).entries == A.entries:
+        try:
+            B = algebra_matrix(tag, params)
+        except ValueError:  # a degenerate E5 layout, 1 - a12*a21 = 0
+            continue
+        if B.entries == A.entries:
             fams, ap = catalog(tag, weight), params
             break
 

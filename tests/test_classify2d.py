@@ -506,6 +506,21 @@ def test_rank2_params_are_the_closed_form(monkeypatch):
             assert classify_with_witness(A, cls.field)[0].tag == cls.tag, (cls, A.entries)
 
 
+def test_degenerate_rank2_parameters_rejected():
+    # [[1, p0], [p1, 1]] with p0*p1 = 1 has rank 1: it names no E5 over C and
+    # no E6 over R, and a closed form that lands there is not a class
+    for field, tag, params in (("complex", "E5", (1, 1)), ("complex", "E5", (4, 0.25)),
+                               ("real", "E6", (2, 0.5))):
+        with pytest.raises(ValueError):
+            AlgebraClass(field, tag, params)
+    assert AlgebraClass("complex", "E6", (1,)).params == (1,)
+    # det = 0.01 - 0.1*0.1 is -1.7e-18, so at tol 0 this is rank 2, and its
+    # closed-form parameters (0.001, 1000) multiply to exactly 1
+    for field in ("complex", "real"):
+        with pytest.raises(UnclassifiableError):
+            classify_with_witness(SM([[1, 0.1], [0.1, 0.01]], field), field, tol=0.0)
+
+
 def test_basis_change_rejects_singular():
     with pytest.raises(ValueError):
         BasisChange(((1, 1), (1, 1)))

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import math
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoalg.cli import main
 
@@ -176,6 +182,8 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
     (["--tol", "-1", "classify", "CONFIG"], "2\n0+0i 0+0i\n0+0i 0+0i\n"),
     (["--tol", "nan", "classify", "CONFIG"], "2\n0+0i 0+0i\n0+0i 0+0i\n"),
     (["cea", "diagram", "CONFIG"], dict(_M1, tolerance=-1)),
+    (["cea", "diagram", "CONFIG"], dict(_M1, property=["E1"])),
+    (["rbo", "search", "--algebra", "E5", "--params", "1,1", "--weight", "1"], None),
 ], ids=["unknown-command", "search-weight-7", "verify-weight-5", "verify-weight-abc",
         "rbo-verify-samples-0", "cea-verify-samples-0", "config-list", "config-window-int",
         "config-seed-list", "config-function-int", "config-functions-list",
@@ -183,7 +191,8 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
         "diagram-property-E9", "config-seed-float", "config-samples-float",
         "config-resolution-float", "config-seed-bool", "diagram-out-is-file",
         "verify-out-missing-dir", "search-out-missing-dir", "verify-domain-error-in-triple",
-        "tol-negative", "tol-nan", "config-tolerance-negative"])
+        "tol-negative", "tol-nan", "config-tolerance-negative", "config-property-list",
+        "search-degenerate-params"])
 def test_input_errors_exit_1(capsys, tmp_path, argv, config):
     # every bad input is reported on one error: line with exit 1, never a
     # traceback or argparse's exit 2 (which would read as "unclassifiable")
@@ -194,6 +203,53 @@ def test_input_errors_exit_1(capsys, tmp_path, argv, config):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "error:" in err
+
+
+# small JSON values: numbers stay small so that a perturbed samples or
+# resolution still runs in milliseconds
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-20, 20)
+    | st.sampled_from([math.nan, math.inf, 1e-12])
+    | st.sampled_from(["", "x", "s", "exp(t)", "M1", "M2", "E1", "E4", "2", "1e-3", "0,4"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["rho", "phi", "a", "C"]), inner, max_size=3),
+    max_leaves=6)
+_CONFIG_KEYS = ["schema_version", "family", "functions", "thresholds", "window", "resolution",
+                "seed", "tolerance", "samples", "t_max", "property"]
+
+
+def _never_valid(key, value):
+    """True when the JSON type of `value` can never be right for `key`."""
+    if key in ("seed", "samples", "tolerance", "t_max"):
+        return value is None or isinstance(value, (list, dict))
+    if key in ("family", "property"):
+        return not isinstance(value, str)
+    if key == "functions":
+        return not isinstance(value, dict) and bool(value)
+    if key == "window":
+        return value is None or isinstance(value, (bool, int, float))
+    return key == "schema_version" and value != 1
+
+
+@given(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON, min_size=1, max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_malformed_configs_exit_1(changes):
+    # one or two keys of a valid M1 config take arbitrary JSON values: each
+    # command runs, or exits 1 with an error: line; never a traceback.  A
+    # value of a type that the key never takes always exits 1
+    cfg = {**_M1, "samples": 8, "resolution": 3, "window": [0, 4, 0, 4], **changes}
+    bad = any(_never_valid(k, v) for k, v in changes.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "c.json"
+        path.write_text(json.dumps(cfg))
+        for argv in (["cea", "verify", str(path)],
+                     ["cea", "diagram", str(path), "--out", str(pathlib.Path(tmp) / "out")]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 3), (argv, cfg, code)
+            assert (code == 1) == ("error:" in err.getvalue()), (argv, cfg, err.getvalue())
+            assert code == 1 or not bad, (argv, cfg, code)
 
 
 def test_cea_diagram_honours_tol(tmp_path, capsys):

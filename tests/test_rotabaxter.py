@@ -96,7 +96,7 @@ def test_case_d_y_alternative_forms():
     # 1/c^2 factor: they agree away from c = 0 but only the catalog's form
     # (their value times c^2) gives a vanishing residual
     rng = random.Random(3)
-    from evoalg.rotabaxter import _case_d_xy
+    fam = _by_id(catalog("E5", 1), "w1:E5:caseD")
 
     def y_quotient(c, d):
         return c * (1.0 - c + 2.0 * d) / (c * c * (1.0 + 3.0 * d + 3.0 * d * d))
@@ -112,7 +112,7 @@ def test_case_d_y_alternative_forms():
         qa = y_quotient(c, d)
         qb = y_quotient_cancelled(c, d)
         assert abs(qa - qb) <= 1e-12 * max(1.0, abs(qa))
-        _, y = _case_d_xy(c, d)
+        _, (_, y) = fam.instantiate({"c": c, "d": d})[0]
         assert abs(qa * c * c - y) <= 1e-12 * max(1.0, abs(y))
 
 
@@ -201,6 +201,14 @@ def test_search_annotates_against_the_given_algebra(tag, params):
     assert pts
     for p in pts:
         assert p.annotation in families | {"trivial-zero"}, (p.matrix, p.annotation)
+
+
+def test_search_degenerate_layout_names_no_family():
+    # read as the E5 layout, [[1, 1], [1, 1]] would be E5(1, 1), which is
+    # degenerate; it is no canonical algebra, so no catalog family applies
+    pts = search(StructureMatrix.from_rows([[1, 1], [1, 1]]), 1, starts=40, seed=0)
+    assert pts
+    assert {p.annotation for p in pts} <= {"trivial-zero", "uncataloged"}
 
 
 def test_search_deterministic():
@@ -310,8 +318,8 @@ def test_catalog_text_export():
     text = catalog_text(0)
     assert "family: w0:E1" in text
     assert "matrix: [[0, b], [0, d]]" in text
-    # the caseD y of _case_d_xy, the one that makes the residual vanish
-    assert "y = c(1-c+2d)/(1+3d+3d^2)" in catalog_text(1)
+    # the caseD y that makes the residual vanish, written as it is evaluated
+    assert "y = c(1-c+2d)/(1+3d+3dd)" in catalog_text(1)
 
 
 def test_poly_parser_roundtrip():
