@@ -227,7 +227,7 @@ def _never_valid(key, value):
     if key == "functions":
         return not isinstance(value, dict) and bool(value)
     if key == "window":
-        return value is None or isinstance(value, (bool, int, float))
+        return value is None or isinstance(value, (int, float))  # bool is an int
     return key == "schema_version" and value != 1
 
 
