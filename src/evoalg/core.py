@@ -418,7 +418,3 @@ def read_matrix_file(path, field: str = COMPLEX) -> StructureMatrix:
     with open(path, "r", encoding="ascii") as fh:
         return parse_matrix(fh.read(), field)
 
-
-def write_matrix_file(path, A: StructureMatrix) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_matrix(A))

@@ -64,6 +64,14 @@ class Poly:
     __rmul__ = __mul__
     __radd__ = __add__
 
+    def __pow__(self, e) -> "Poly":
+        if not isinstance(e, int) or e < 0:
+            return NotImplemented
+        out = Poly.const(self.variables, 1)
+        for _ in range(e):
+            out = out * self
+        return out
+
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
             if other.variables != self.variables:
@@ -124,151 +132,8 @@ def _fmt_coeff(c: complex, bare: bool) -> str:
         return fmt_real(c.real)
     if c.real == 0:
         if c.imag == 1:
-            return "i" if bare else "i"
+            return "i"
         return f"{fmt_real(c.imag)}*i"
     sign = "+" if c.imag > 0 else "-"
     return f"({fmt_real(c.real)}{sign}{fmt_real(abs(c.imag))}*i)"
 
-
-# --- tiny parser for polynomial equations ------------------------------------
-#
-# Accepts "lhs = rhs" or a bare polynomial; +, -, *, ^, parentheses, integer
-# and decimal coefficients, the imaginary unit "i", and the given variable
-# names.  Used to ingest equation systems written as text.
-
-
-def parse_equation(text: str, variables) -> Poly:
-    """Parse an equation into its left-minus-right difference polynomial."""
-    if "=" in text:
-        lhs, rhs = text.split("=", 1)
-        return parse_poly(lhs, variables) - parse_poly(rhs, variables)
-    return parse_poly(text, variables)
-
-
-def parse_poly(text: str, variables) -> Poly:
-    variables = tuple(variables)
-    toks = _ptokens(text)
-    p = _PExprParser(toks, variables)
-    out = p.parse_expr()
-    if p.peek()[0] != "end":
-        raise ValueError(f"trailing input in polynomial {text!r}")
-    return out
-
-
-def _ptokens(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            toks.append(("num", text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j]))
-            i = j
-        elif ch in "+-*^()":
-            toks.append((ch, ch))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in polynomial")
-    toks.append(("end", ""))
-    return toks
-
-
-class _PExprParser:
-    def __init__(self, toks, variables):
-        self.toks = toks
-        self.i = 0
-        self.variables = variables
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def parse_expr(self) -> Poly:
-        node = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term(self) -> Poly:
-        node = self.parse_factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "*":
-                self.next()
-                node = node * self.parse_factor()
-            elif kind in ("num", "name", "("):  # implicit multiplication: 2a, a(b+c)
-                node = node * self.parse_factor()
-            else:
-                return node
-
-    def parse_factor(self) -> Poly:
-        if self.peek()[0] == "-":
-            self.next()
-            return -self.parse_factor()
-        if self.peek()[0] == "+":
-            self.next()
-            return self.parse_factor()
-        return self.parse_power()
-
-    def parse_power(self) -> Poly:
-        base = self.parse_atom()
-        if self.peek()[0] == "^":
-            self.next()
-            kind, text = self.next()
-            if kind != "num" or "." in text:
-                raise ValueError("exponent must be a nonnegative integer")
-            e = int(text)
-            out = Poly.const(self.variables, 1)
-            for _ in range(e):
-                out = out * base
-            return out
-        return base
-
-    def parse_atom(self) -> Poly:
-        kind, text = self.next()
-        if kind == "num":
-            return Poly.const(self.variables, float(text))
-        if kind == "name":
-            return self._name_product(text)
-        if kind == "(":
-            node = self.parse_expr()
-            if self.next()[0] != ")":
-                raise ValueError("missing closing parenthesis")
-            return node
-        raise ValueError(f"unexpected token {text!r} in polynomial")
-
-    def _name_product(self, text: str) -> Poly:
-        # "bdy" means b*d*y: split a run of letters into known one-letter
-        # variables (and the imaginary unit) unless it names a variable as is
-        def single(ch):
-            if ch == "i":
-                return Poly.const(self.variables, 1j)
-            return Poly.var(self.variables, ch)
-
-        if text == "i":
-            return Poly.const(self.variables, 1j)
-        if text in self.variables:
-            return Poly.var(self.variables, text)
-        out = Poly.const(self.variables, 1.0)
-        for ch in text:
-            try:
-                out = out * single(ch)
-            except KeyError:
-                raise ValueError(f"unknown name {text!r} in polynomial") from None
-        return out

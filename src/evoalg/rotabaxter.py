@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (COMPLEX, ComplexLanes, EvoalgError, StructureMatrix, lanes_array,
                    rb_components, rb_jacobian_rows, rb_pairs, rb_residual_norm_general)
-from .classify2d import AlgebraClass, canonical_matrix
+from .classify2d import AlgebraClass, _cube_roots, canonical_matrix
 from .numerics import _rowdot, complex_jacobian_to_real, levenberg_marquardt
 from .polys import Poly
 
@@ -136,13 +136,6 @@ _ROWS = (
 )
 
 
-def _cubic_branches(z: complex):
-    """All three cube roots, principal first."""
-    r = z ** (1.0 / 3.0)
-    w = complex(-0.5, SQRT3 / 2.0)
-    return [r, r * w, r * w * w]
-
-
 def _sqrt_branches(z: complex):
     r = cmath.sqrt(z)
     return [r, -r]
@@ -156,7 +149,7 @@ def _poly_roots(*coeffs):
 
 # formulas compile against this namespace only; no builtins are reachable
 _NAMESPACE = {"__builtins__": {}, "i": 1j, "sqrt3": SQRT3, "nu": NU, "sqrt": _sqrt_branches,
-              "cbrt": _cubic_branches, "roots": _poly_roots}
+              "cbrt": lambda z: _cube_roots(z, COMPLEX), "roots": _poly_roots}
 _TOKEN = re.compile(r"\d+|sqrt3|nu|[a-z]|[-+*/()^]")
 _BRANCH = re.compile(r"(\w) = (.*?)(?:\+- ?)?(sqrt|cbrt|roots)\(([^()]*)\)(.*)")
 
@@ -577,9 +570,6 @@ class DerivedSystem:
     variables: tuple[str, ...]
     equations: tuple[SystemEquation, ...]
     tautologies: tuple[tuple[tuple[int, int], int], ...]
-
-    def as_strings(self) -> list[str]:
-        return [str(e) for e in self.equations]
 
     def normalized_terms(self, tol: float = 1e-12):
         """Set of sign-normalized coefficient dictionaries; two systems match

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from evoalg.polys import Poly
+from evoalg.rotabaxter import _function, _source
+
 
 def brute_force_rb_residual(entries, rows, weight):
     """Independent expansion of the Rota-Baxter identity: builds the full
@@ -44,6 +47,14 @@ def brute_force_rb_residual(entries, rows, weight):
             row.append(tuple(l - r for l, r in zip(lhs, rhs)))
         grid.append(tuple(row))
     return tuple(grid)
+
+
+def golden_poly(line: str, variables) -> Poly:
+    """The polynomial lhs - rhs of a golden line `lhs = rhs`, compiled by the
+    catalog's formula compiler and evaluated on polynomial variables."""
+    lhs, rhs = line.split("=")
+    src, _ = _source(f"{lhs}-({rhs})", {})
+    return _function(src)({v: Poly.var(variables, v) for v in variables})
 
 
 def random_complex_matrix(rng: random.Random, n: int, scale: float = 2.0):

@@ -19,7 +19,6 @@ from evoalg.cea import (
 )
 from evoalg.cli import main as cli_main
 from evoalg.numerics import complex_jacobian_to_real
-from evoalg.polys import parse_equation
 from evoalg.rotabaxter import (
     P_MINUS,
     P_PLUS,
@@ -32,7 +31,7 @@ from evoalg.rotabaxter import (
     verify_table,
 )
 
-from conftest import brute_force_rb_residual, random_complex_matrix
+from conftest import brute_force_rb_residual, golden_poly, random_complex_matrix
 
 SM = StructureMatrix.from_rows
 
@@ -113,7 +112,7 @@ def test_criterion_2_derived_system_fidelity():
                 line = line.strip()
                 if not line:
                     continue
-                poly = parse_equation(line, system.variables).sign_normalized(0.0)
+                poly = golden_poly(line, system.variables).sign_normalized(0.0)
                 if poly.terms:  # tautologies like a*c = a*c normalize away
                     want.add(poly.terms)
             got = system.normalized_terms(0.0)

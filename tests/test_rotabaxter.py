@@ -7,7 +7,6 @@ import pytest
 
 from evoalg.core import StructureMatrix, rb_components, rb_jacobian, rb_residual_norm_general
 from evoalg.numerics import complex_jacobian_to_real
-from evoalg.polys import parse_equation
 from evoalg.rotabaxter import (
     P_MINUS,
     P_PLUS,
@@ -24,7 +23,7 @@ from evoalg.rotabaxter import (
     verify_table,
 )
 
-from conftest import random_complex_matrix
+from conftest import golden_poly, random_complex_matrix
 
 
 def _by_id(fams, fid):
@@ -292,7 +291,7 @@ def test_derive_system_e6_symbolic_w1():
         "bd = ab + c^2 + bcx",
         "ac = cd + b^2",
     ]
-    want = {parse_equation(g, system.variables).sign_normalized(0.0).terms for g in golden}
+    want = {golden_poly(g, system.variables).sign_normalized(0.0).terms for g in golden}
     assert system.normalized_terms(0.0) == want
 
 
@@ -323,7 +322,7 @@ def test_catalog_text_export():
 
 
 def test_poly_parser_roundtrip():
-    p = parse_equation("b^2 y = a^2 + 2acx", ("a", "b", "c", "d", "x", "y"))
+    p = golden_poly("b^2 y = a^2 + 2acx", ("a", "b", "c", "d", "x", "y"))
     vals = {"a": 1 + 1j, "b": 2.0, "c": -0.5j, "d": 3.0, "x": 0.25, "y": -2.0}
     want = (2.0**2) * (-2.0) - ((1 + 1j) ** 2 + 2 * (1 + 1j) * (-0.5j) * 0.25)
     assert abs(p.evaluate(vals) - want) < 1e-12
