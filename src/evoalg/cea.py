@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -586,10 +587,10 @@ def load_config(path_or_text) -> dict:
         raise EvoalgError(f"bad config JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise EvoalgError("config must be a JSON object")
-    if cfg.get("schema_version") != SCHEMA_VERSION:
+    version = cfg.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # true == 1, 1.0 == 1
         raise EvoalgError(
-            f"unsupported schema_version {cfg.get('schema_version')!r} "
-            f"(this build reads {SCHEMA_VERSION})"
+            f"unsupported schema_version {version!r} (this build reads {SCHEMA_VERSION})"
         )
     if "family" not in cfg:
         raise EvoalgError("config is missing 'family'")
@@ -598,39 +599,62 @@ def load_config(path_or_text) -> dict:
         raise EvoalgError("config 'functions' must map slot names to expression strings")
     thresholds = cfg.get("thresholds") or {}
     if not (isinstance(thresholds, dict)
-            and all(isinstance(v, (int, float)) for v in thresholds.values())):
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in thresholds.values())):
         raise EvoalgError("config 'thresholds' must map names to numbers")
     spec = ChainFamilySpec.make(cfg["family"], functions, thresholds)
     if not isinstance(cfg.get("property", ""), str):
         raise EvoalgError(f"config 'property' must be a class tag string: {cfg['property']!r}")
 
+    def number(v):
+        # a JSON number: float("0.5") and int("3") would read strings, int(true) is 1
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(v)
+        return v
+
     def integer(v):
-        # int() would truncate 1.7 to 1 and read true as 1
-        if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        # int() would truncate 1.7 to 1
+        if isinstance(number(v), float) and not v.is_integer():
             raise ValueError(v)
         return int(v)
 
+    def size(v):
+        n = integer(v)
+        if n < 2:
+            raise ValueError(v)
+        return n
+
+    def window(v):
+        if not (isinstance(v, list) and len(v) == 4):
+            raise ValueError(v)
+        smin, smax, tmin, tmax = edges = tuple(float(number(x)) for x in v)
+        if not (all(map(math.isfinite, edges)) and smax > smin and tmax > tmin):
+            raise ValueError(v)
+        return edges
+
     def tolerance(v):
-        if not float(v) >= 0:  # NaN fails this too
+        if not float(number(v)) >= 0:  # NaN fails this too
             raise ValueError(v)
         return float(v)
 
     def value(key, default, convert):
+        if key not in cfg:
+            return default
         try:
-            return convert(cfg.get(key, default))
-        except (TypeError, ValueError):
-            raise EvoalgError(f"config {key!r} is malformed: {cfg.get(key)!r}") from None
+            return convert(cfg[key])
+        except (TypeError, ValueError, OverflowError):
+            raise EvoalgError(f"config {key!r} is malformed: {cfg[key]!r}") from None
 
     out = {
         "spec": spec,
-        "window": value("window", (0.0, 4.0, 0.0, 4.0), lambda v: tuple(float(x) for x in v)),
+        "window": value("window", (0.0, 4.0, 0.0, 4.0), window),
         "resolution": value("resolution", 64,
-                            lambda v: tuple(integer(x) for x in v) if isinstance(v, list)
-                            else integer(v)),
+                            lambda v: tuple(map(size, v)) if isinstance(v, list) and len(v) == 2
+                            else size(v)),
         "seed": value("seed", 0, integer),
         "tolerance": value("tolerance", 1e-9, tolerance),
         "samples": value("samples", 1000, integer),
-        "t_max": value("t_max", 10.0, float),
+        "t_max": value("t_max", 10.0, lambda v: float(number(v))),
         "property": cfg.get("property", "E4"),
     }
     return out

@@ -184,6 +184,16 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
     (["cea", "diagram", "CONFIG"], dict(_M1, tolerance=-1)),
     (["cea", "diagram", "CONFIG"], dict(_M1, property=["E1"])),
     (["rbo", "search", "--algebra", "E5", "--params", "1,1", "--weight", "1"], None),
+    (["cea", "verify", "CONFIG"], dict(_M1, window="0123")),
+    (["cea", "diagram", "CONFIG"], dict(_M1, window="0123")),
+    (["cea", "verify", "CONFIG"], dict(_M1, tolerance="0.5")),
+    (["cea", "diagram", "CONFIG"], dict(_M1, tolerance="0.5")),
+    (["cea", "verify", "CONFIG"], dict(_M1, schema_version=True)),
+    (["cea", "diagram", "CONFIG"], dict(_M1, schema_version=True)),
+    (["cea", "verify", "CONFIG"], dict(_M1, t_max="5")),
+    (["cea", "verify", "CONFIG"], dict(_M1, seed="3")),
+    (["cea", "verify", "CONFIG"], dict(_M1, window=[])),
+    (["cea", "verify", "CONFIG"], dict(_M1, resolution=-3)),
 ], ids=["unknown-command", "search-weight-7", "verify-weight-5", "verify-weight-abc",
         "rbo-verify-samples-0", "cea-verify-samples-0", "config-list", "config-window-int",
         "config-seed-list", "config-function-int", "config-functions-list",
@@ -192,7 +202,10 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
         "config-resolution-float", "config-seed-bool", "diagram-out-is-file",
         "verify-out-missing-dir", "search-out-missing-dir", "verify-domain-error-in-triple",
         "tol-negative", "tol-nan", "config-tolerance-negative", "config-property-list",
-        "search-degenerate-params"])
+        "search-degenerate-params", "verify-window-str", "diagram-window-str",
+        "verify-tolerance-str", "diagram-tolerance-str", "verify-schema-true",
+        "diagram-schema-true", "verify-t_max-str", "verify-seed-str", "verify-window-empty",
+        "verify-resolution-negative"])
 def test_input_errors_exit_1(capsys, tmp_path, argv, config):
     # every bad input is reported on one error: line with exit 1, never a
     # traceback or argparse's exit 2 (which would read as "unclassifiable")
@@ -218,17 +231,29 @@ _CONFIG_KEYS = ["schema_version", "family", "functions", "thresholds", "window",
                 "seed", "tolerance", "samples", "t_max", "property"]
 
 
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _never_valid(key, value):
-    """True when the JSON type of `value` can never be right for `key`."""
+    """True when `value` can never be right for `key`: a JSON type the key
+    never takes, or a window or resolution that no command can draw."""
     if key in ("seed", "samples", "tolerance", "t_max"):
-        return value is None or isinstance(value, (list, dict))
+        return not _number(value)
     if key in ("family", "property"):
         return not isinstance(value, str)
-    if key == "functions":
-        return not isinstance(value, dict) and bool(value)
+    if key in ("functions", "thresholds"):
+        if isinstance(value, dict):
+            return key == "thresholds" and not all(map(_number, value.values()))
+        return bool(value)
     if key == "window":
-        return value is None or isinstance(value, (int, float))  # bool is an int
-    return key == "schema_version" and value != 1
+        return not (isinstance(value, list) and len(value) == 4
+                    and all(_number(x) and math.isfinite(x) for x in value)
+                    and value[1] > value[0] and value[3] > value[2])
+    if key == "resolution":
+        sizes = value if isinstance(value, list) and len(value) == 2 else [value]
+        return not all(_number(n) and float(n).is_integer() and n >= 2 for n in sizes)
+    return key == "schema_version" and (type(value) is not int or value != 1)
 
 
 @given(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON, min_size=1, max_size=2))
