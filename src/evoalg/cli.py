@@ -10,6 +10,8 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import os
 import sys
 
@@ -95,6 +97,15 @@ def _parse_params(text: str):
     return tuple(out)
 
 
+def _csv_text(header, rows) -> str:
+    # family ids such as w1:E5(x,0):bneg hold commas, so fields are quoted where needed
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def cmd_classify(args) -> int:
     A = read_matrix_file(args.matrix, args.field)
     if A.dim != 2:
@@ -154,12 +165,11 @@ def cmd_rbo_verify(args) -> int:
     for rep in reports:
         print(rep.summary())
     if args.out:
-        lines = ["family_id,samples,worst_residual,passed"]
-        for rep in reports:
-            lines.append(f"{rep.family_id},{rep.samples},{rep.worst_residual!r},"
-                         f"{'pass' if rep.passed else 'fail'}")
+        text = _csv_text(["family_id", "samples", "worst_residual", "passed"],
+                         [[rep.family_id, rep.samples, repr(rep.worst_residual),
+                           "pass" if rep.passed else "fail"] for rep in reports])
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
         print(f"wrote {args.out}")
     n_bad = sum(1 for rep in reports if not rep.passed)
     print(f"{len(reports) - n_bad}/{len(reports)} families pass")
@@ -174,13 +184,9 @@ def cmd_rbo_search(args) -> int:
         A = canonical_matrix(AlgebraClass(COMPLEX, args.algebra, params))
     points = rbo_mod.search(A, args.weight, starts=args.starts,
                             seed=_resolve(args.seed, 0), tol=_resolve(args.tol, 1e-9))
-    lines = ["r11,r12,r21,r22,residual,annotation"]
-    for pt in points:
-        (r11, r12), (r21, r22) = pt.matrix
-        lines.append(",".join([format_complex(r11), format_complex(r12),
-                               format_complex(r21), format_complex(r22),
-                               repr(pt.residual), pt.annotation]))
-    text = "\n".join(lines) + "\n"
+    text = _csv_text(["r11", "r12", "r21", "r22", "residual", "annotation"],
+                     [[*(format_complex(z) for row in pt.matrix for z in row),
+                       repr(pt.residual), pt.annotation] for pt in points])
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -352,3 +353,12 @@ def test_verify_report_matches_golden(tmp_path, capsys, monkeypatch, seed):
     assert code == 0
     assert out == (_DATA / f"{name}.txt").read_text()
     assert (tmp_path / f"{name}.csv").read_bytes() == (_DATA / f"{name}.csv").read_bytes()
+
+
+def test_golden_csvs_have_header_width_rows():
+    # a comma inside a family id is quoted, so the csv module reads every row
+    # of every CSV the CLI wrote with as many fields as the header
+    for path in sorted(_DATA.glob("*.csv")):
+        with open(path, newline="", encoding="ascii") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
