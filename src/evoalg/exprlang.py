@@ -252,7 +252,7 @@ def _eval(e: Expr, s: float, t: float) -> float:
         # power; real-valued only
         if a == 0.0 and b < 0.0:
             raise DomainEvalError("zero raised to a negative power", e)
-        if a < 0.0 and b != int(b):
+        if a < 0.0 and b % 1 != 0:  # int(b) would raise on an infinite or NaN b
             raise DomainEvalError("negative base with non-integer exponent", e)
         try:
             return float(a**b)
@@ -279,6 +279,8 @@ def _eval(e: Expr, s: float, t: float) -> float:
                 return abs(x)
         except OverflowError:
             raise DomainEvalError("overflow", e) from None
+        except ValueError:  # sin or cos of an infinite argument
+            raise DomainEvalError("infinite argument", e) from None
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoalg.exprlang import (
+    FUNCTIONS,
     ArityError,
     Bin,
     Call,
@@ -66,6 +69,11 @@ def test_domain_errors():
         ev("exp(10000)")
     with pytest.raises(DomainEvalError):
         ev("(0-2)^0.5")
+    # infinite and NaN intermediates: sin, cos and int() would raise ValueError
+    for text in ("sin(1e308*10)", "cos(s*1e308*1e308)", "(0-1)^(1e308*10)",
+                 "(0-1)^(1e308*10-1e308*10)"):
+        with pytest.raises(DomainEvalError):
+            ev(text, 1.0)
     err = None
     try:
         ev("1 + t/s", 0, 1)
@@ -137,6 +145,31 @@ def test_roundtrip_values_agree():
             continue
         v2 = eval_expr(parse_expr(to_string(e)), s, t)
         assert v1 == v2
+
+
+# every tree the parser can produce: numbers are finite and non-negative (a
+# minus sign parses as Neg), and calls cover all six functions
+_TREES = st.recursive(
+    st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Num),
+              st.integers(0, 9).map(float).map(Num), st.sampled_from([Var("s"), Var("t")])),
+    lambda inner: st.one_of(
+        inner.map(Neg),
+        st.builds(Bin, st.sampled_from("+-*/^"), inner, inner),
+        st.builds(Call, st.sampled_from(FUNCTIONS), inner)),
+    max_leaves=10)
+_POINTS = st.floats(-1e3, 1e3)
+
+
+@given(_TREES, _POINTS, _POINTS)
+@settings(max_examples=300, deadline=None)
+def test_roundtrip_hypothesis(e, s, t):
+    back = parse_expr(to_string(e))
+    assert back == e
+    try:
+        want = eval_expr(e, s, t)
+    except DomainEvalError:
+        return
+    assert eval_expr(back, s, t) == want
 
 
 def test_fuzz_never_crashes():
