@@ -205,7 +205,10 @@ def _mat2mul(P, Q):
 
 def sample_triples(samples: int, seed: int, t_max: float = 10.0):
     """Seeded triples s < tau < t: s ~ U(0.1, t_max/3), tau ~ U(s+eps,
-    2 t_max/3), t ~ U(tau+eps, t_max), with eps = 1e-3."""
+    2 t_max/3), t ~ U(tau+eps, t_max), with eps = 1e-3.  Raises ValueError
+    unless t_max is finite and >= 0.3: below it the range of s is reversed."""
+    if not (math.isfinite(t_max) and t_max >= 0.3):
+        raise ValueError(f"t_max must be finite and >= 0.3, got {t_max!r}")
     eps = 1e-3
     rng = random.Random(seed)
     out = []
@@ -637,6 +640,10 @@ def load_config(path_or_text) -> dict:
             raise ValueError(v)
         return float(v)
 
+    def t_max(v):
+        sample_triples(0, 0, float(number(v)))  # draws nothing; raises unless usable
+        return float(v)
+
     def value(key, default, convert):
         if key not in cfg:
             return default
@@ -654,7 +661,7 @@ def load_config(path_or_text) -> dict:
         "seed": value("seed", 0, integer),
         "tolerance": value("tolerance", 1e-9, tolerance),
         "samples": value("samples", 1000, integer),
-        "t_max": value("t_max", 10.0, lambda v: float(number(v))),
+        "t_max": value("t_max", 10.0, t_max),
         "property": cfg.get("property", "E4"),
     }
     return out

@@ -98,7 +98,12 @@ def _fmt_scalar(z: complex) -> str:
 
 def canonical_matrix(cls: AlgebraClass) -> StructureMatrix:
     """Structure matrix of a canonical class."""
-    t, p = cls.tag, cls.params
+    return StructureMatrix.from_rows(canonical_rows(cls.field, cls.tag, cls.params), cls.field)
+
+
+def canonical_rows(field: str, t: str, p=()):
+    """Rows of the canonical matrix of tag `t` with parameters `p`, unchecked;
+    the parameters may be any values, e.g. core.ComplexLanes."""
     fixed = {
         "E0": ((0, 0), (0, 0)),
         "E1": ((1, 0), (0, 0)),
@@ -107,14 +112,12 @@ def canonical_matrix(cls: AlgebraClass) -> StructureMatrix:
         "E4": ((0, 1), (0, 0)),
     }
     if t in fixed:
-        rows = fixed[t]
-    elif cls.field == REAL:
-        rows = ((0, 1), (0, -1)) if t == "E5" else (
+        return fixed[t]
+    if field == REAL:
+        return ((0, 1), (0, -1)) if t == "E5" else (
             ((1, p[0]), (p[1], 1)) if t == "E6" else ((0, 1), (1, p[0]))
         )
-    else:
-        rows = ((1, p[0]), (p[1], 1)) if t == "E5" else ((0, 1), (1, p[0]))
-    return StructureMatrix.from_rows(rows, cls.field)
+    return ((1, p[0]), (p[1], 1)) if t == "E5" else ((0, 1), (1, p[0]))
 
 
 def _lex_key(z: complex):

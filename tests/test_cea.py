@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from evoalg.core import StructureMatrix
+from evoalg.core import EvoalgError, StructureMatrix
 from evoalg.cea import (
     CantorDelta,
     ChainFamilySpec,
@@ -266,6 +266,16 @@ def test_load_config_roundtrip(tmp_path):
     assert out["spec"].family == "M6"
     assert out["resolution"] == (32, 16)
     assert out["seed"] == 7 and out["samples"] == 500
+
+
+@pytest.mark.parametrize("t_max", [0.1, 0, -5, math.nan, math.inf])
+def test_t_max_below_the_range_of_s_is_refused(t_max):
+    # s ~ U(0.1, t_max/3) is a range only from t_max = 0.3 on
+    with pytest.raises(ValueError, match="t_max"):
+        sample_triples(1, 0, t_max)
+    with pytest.raises(EvoalgError, match="t_max"):
+        load_config(json.dumps({"schema_version": 1, "family": "M0", "t_max": t_max}))
+    assert all(0 < s < tau < t <= 0.3 for s, tau, t in sample_triples(200, 1, 0.3))
 
 
 def test_load_config_errors(tmp_path):

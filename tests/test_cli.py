@@ -7,7 +7,7 @@ import pathlib
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evoalg.cli import main
@@ -195,6 +195,10 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
     (["cea", "verify", "CONFIG"], dict(_M1, seed="3")),
     (["cea", "verify", "CONFIG"], dict(_M1, window=[])),
     (["cea", "verify", "CONFIG"], dict(_M1, resolution=-3)),
+    (["cea", "verify", "CONFIG"], dict(_M1, t_max=0.1)),
+    (["cea", "verify", "CONFIG"], dict(_M1, t_max=0)),
+    (["cea", "verify", "CONFIG"], dict(_M1, t_max=-5)),
+    (["cea", "diagram", "CONFIG"], dict(_M1, t_max=math.nan)),
 ], ids=["unknown-command", "search-weight-7", "verify-weight-5", "verify-weight-abc",
         "rbo-verify-samples-0", "cea-verify-samples-0", "config-list", "config-window-int",
         "config-seed-list", "config-function-int", "config-functions-list",
@@ -206,7 +210,8 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
         "search-degenerate-params", "verify-window-str", "diagram-window-str",
         "verify-tolerance-str", "diagram-tolerance-str", "verify-schema-true",
         "diagram-schema-true", "verify-t_max-str", "verify-seed-str", "verify-window-empty",
-        "verify-resolution-negative"])
+        "verify-resolution-negative", "verify-t_max-0.1", "verify-t_max-0", "verify-t_max-neg",
+        "diagram-t_max-nan"])
 def test_input_errors_exit_1(capsys, tmp_path, argv, config):
     # every bad input is reported on one error: line with exit 1, never a
     # traceback or argparse's exit 2 (which would read as "unclassifiable")
@@ -238,9 +243,11 @@ def _number(value):
 
 def _never_valid(key, value):
     """True when `value` can never be right for `key`: a JSON type the key
-    never takes, or a window or resolution that no command can draw."""
-    if key in ("seed", "samples", "tolerance", "t_max"):
+    never takes, or a window, resolution or t_max that no command can draw."""
+    if key in ("seed", "samples", "tolerance"):
         return not _number(value)
+    if key == "t_max":  # s ~ U(0.1, t_max/3) needs t_max >= 0.3
+        return not (_number(value) and math.isfinite(value) and value >= 0.3)
     if key in ("family", "property"):
         return not isinstance(value, str)
     if key in ("functions", "thresholds"):
@@ -258,6 +265,8 @@ def _never_valid(key, value):
 
 
 @given(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON, min_size=1, max_size=2))
+@example({"t_max": 0.1})
+@example({"t_max": math.nan, "seed": 2})
 @settings(max_examples=80, deadline=None)
 def test_malformed_configs_exit_1(changes):
     # one or two keys of a valid M1 config take arbitrary JSON values: each

@@ -315,18 +315,49 @@ CATALOG_ALGEBRAS = [algebra_matrix(tag, p).entries for tag, p in [
 
 @given(st.one_of(st.sampled_from(CATALOG_ALGEBRAS),
                  st.tuples(*[st.tuples(lane_complex, lane_complex)] * 2)),
-       st.lists(st.lists(lane_floats, min_size=8, max_size=8), min_size=1, max_size=12),
+       st.lists(st.booleans(), min_size=4, max_size=4),
+       st.lists(st.lists(lane_floats, min_size=16, max_size=16), min_size=1, max_size=12),
        st.sampled_from((0, 1)))
 @settings(max_examples=100, deadline=None)
-def test_lane_kernel_is_the_scalar_kernel_bit_for_bit(a, ops, weight):
+def test_lane_kernel_is_the_scalar_kernel_bit_for_bit(a, a_on_lanes, ops, weight):
+    # R is on lanes, and so is each entry of a that a_on_lanes marks (the
+    # algebra parameters of a batched verify); the others stay scalars
     X = np.array(ops)
-    z = [ComplexLanes(X[:, 2 * p], X[:, 2 * p + 1]) for p in range(4)]
-    lanes = ((z[0], z[1]), (z[2], z[3]))
+    z = [ComplexLanes(X[:, 2 * p], X[:, 2 * p + 1]) for p in range(8)]
+
+    def split(vals):
+        R = ((vals[0], vals[1]), (vals[2], vals[3]))
+        return R, tuple(tuple(vals[4 + 2 * i + j] if a_on_lanes[2 * i + j] else a[i][j]
+                              for j in (0, 1)) for i in (0, 1))
+
+    lanes, a_lanes = split(z)
     with np.errstate(all="ignore"):
-        comps = lanes_array(rb_components(a, lanes, weight), len(X))
-        jac = lanes_array(rb_jacobian_rows(a, lanes, weight), len(X))
+        comps = lanes_array(rb_components(a_lanes, lanes, weight), len(X))
+        jac = lanes_array(rb_jacobian_rows(a_lanes, lanes, weight), len(X))
     for lane, x in enumerate(X):
-        w = x.view(complex).tolist()
-        R = ((w[0], w[1]), (w[2], w[3]))
-        assert comps[lane].tobytes() == np.array(rb_components(a, R, weight)).tobytes()
-        assert jac[lane].tobytes() == rb_jacobian(a, R, weight).tobytes()
+        R, a_lane = split(x.view(complex).tolist())
+        assert comps[lane].tobytes() == np.array(rb_components(a_lane, R, weight)).tobytes()
+        assert jac[lane].tobytes() == rb_jacobian(a_lane, R, weight).tobytes()
+
+
+# every finite magnitude, subnormals included, and both zeros
+_any_magnitude = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]),
+    st.builds(lambda sign, mant, exp: sign * math.ldexp(mant, exp), st.sampled_from([-1.0, 1.0]),
+              st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1024)),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(_any_magnitude, _any_magnitude)
+@settings(max_examples=300, deadline=None)
+def test_hypot_is_complex_abs_bit_for_bit(re, im):
+    # the batched verify takes |z| of lanes as np.hypot(re, im); CPython's
+    # abs(complex) raises where the modulus overflows, and hypot gives inf
+    with np.errstate(over="ignore"):
+        lane = np.hypot(np.array([re]), np.array([im]))[0]
+    try:
+        want = abs(complex(re, im))
+    except OverflowError:
+        assert lane == math.inf
+    else:
+        assert float(lane).hex() == want.hex()

@@ -1,16 +1,24 @@
 import cmath
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evoalg.core import StructureMatrix, rb_components, rb_jacobian, rb_residual_norm_general
+from evoalg.core import (EvoalgError, StructureMatrix, rb_components, rb_jacobian,
+                         rb_residual_norm_general)
 from evoalg.numerics import complex_jacobian_to_real
+import evoalg.rotabaxter as rbo
 from evoalg.rotabaxter import (
     P_MINUS,
     P_PLUS,
+    FamilyReport,
+    RboFamily,
     UnknownAlgebraError,
+    _ALL_FAMILIES,
     algebra_matrix,
     catalog,
     catalog_rows,
@@ -79,6 +87,135 @@ def test_verify_family_rejects_no_samples():
         for n in (0, -1):
             with pytest.raises(ValueError):
                 verify_family(fam, param_samples=n)
+
+
+def _verify_one_at_a_time(fam, param_samples, seed, tol=1e-9):
+    # the per-sample loop that verify_family batches: one scalar residual
+    # check per instantiation, the first strictly larger residual wins
+    rng = random.Random((seed * 1_000_003) ^ zlib.crc32(fam.family_id.encode()))
+    worst, worst_params, done = 0.0, None, 0
+    while done < param_samples:
+        p = fam.sample_params(rng)
+        insts = fam.instantiate(p)
+        if not insts:
+            continue
+        for R, ap in insts:
+            res = rb_residual_norm_general(algebra_matrix(fam.algebra, ap), R, fam.weight)
+            if res > worst:
+                worst, worst_params = res, p
+        done += 1
+    return FamilyReport(fam.family_id, param_samples, worst, worst_params, tol, worst <= tol)
+
+
+_SAMPLED = [f for f in _ALL_FAMILIES if not f.isolated]
+
+
+def _same_report(got, want):
+    assert got == want
+    assert got.worst_residual.hex() == want.worst_residual.hex()
+    assert type(got.worst_residual) is float and type(got.passed) is bool
+
+
+@given(st.sampled_from(_SAMPLED), st.integers(0, 2**16), st.sampled_from([1, 2, 15, 16, 17, 40]))
+@settings(max_examples=80, deadline=None)
+def test_batched_verify_is_the_one_at_a_time_loop(fam, seed, param_samples):
+    # a 16-sample block puts the sample counts around and above a block edge
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rbo, "VERIFY_BLOCK", 16)
+        got = verify_family(fam, param_samples, seed)
+    _same_report(got, _verify_one_at_a_time(fam, param_samples, seed))
+
+
+@pytest.mark.parametrize("fid", ["w1:E5:caseD", "w1:E6:curve", "w0:E2:plus"])
+def test_batched_verify_across_a_full_block(fid):
+    fam = next(f for f in _SAMPLED if f.family_id == fid)
+    n = rbo.VERIFY_BLOCK + 1
+    _same_report(verify_family(fam, n, seed=5), _verify_one_at_a_time(fam, n, seed=5))
+
+
+# finite operator entries on E1 whose weight-1 residual components are
+# finite, but too large for abs(): rb_residual_norm_general raises OverflowError
+_ABS_OVERFLOW = ((2.2475103781889018e+153+4.74720865724503e+153j,
+                  -2.037641340436372e+153-3.48605187051679e+153j),
+                 (1.2932425359566785e+154-6.329965651736206e+153j,
+                  7.336494238125658e+153-1.8209898056036592e+153j))
+
+
+def _fault(kind, R, ap):
+    if kind == "nan-entry":
+        return ((complex(math.nan, 0), R[0][1]), R[1]), ap
+    if kind == "inf-param":
+        return R, (complex(0, math.inf),) + ap[1:]
+    if kind == "degenerate":  # 1 - xy = 0
+        return R, (2 + 0j, 0.5 + 0j)
+    if kind == "huge-entry":  # products overflow to a non-finite residual
+        return tuple(tuple(z * 1e200 for z in row) for row in R), ap
+    if kind == "abs-overflow":
+        return _ABS_OVERFLOW, ap
+    raise EvoalgError("injected failure while instantiating")
+
+
+@pytest.mark.parametrize("fid, faults", [
+    ("w0:E1", {3: "nan-entry"}),
+    ("w0:E1", {1: "nan-entry", 2: "huge-entry"}),
+    ("w1:E5:caseD", {5: "degenerate"}),
+    ("w1:E5:caseD", {5: "inf-param"}),
+    ("w1:E6:curve", {7: "inf-param"}),
+    ("w1:E5(0,y):cneg", {4: "huge-entry"}),
+    ("w1:E1:neg", {6: "abs-overflow"}),
+    ("w0:E2:plus", {9: "raise"}),
+    ("w0:E2:plus", {1: "raise"}),
+    ("w1:E5:caseD", {3: "degenerate", 8: "raise"}),
+    ("w1:E5:caseD", {3: "raise", 2: "nan-entry"}),
+])
+def test_batched_verify_fails_like_the_one_at_a_time_loop(monkeypatch, fid, faults):
+    # instantiate call k (from 1) is given a fault; the batched check must
+    # raise what checking one instantiation at a time raises first
+    fam = next(f for f in _SAMPLED if f.family_id == fid)
+    instantiate = RboFamily.instantiate
+
+    def outcome(verify):
+        calls = []
+
+        def faulty(self, p):
+            calls.append(p)
+            insts = instantiate(self, p)
+            kind = faults.get(len(calls))
+            return [_fault(kind, *insts[0])] + insts[1:] if kind and insts else insts
+
+        monkeypatch.setattr(RboFamily, "instantiate", faulty)
+        with pytest.raises(Exception) as err:
+            verify(fam, 40, 2)
+        return type(err.value), str(err.value)
+
+    want = outcome(_verify_one_at_a_time)
+    assert outcome(verify_family) == want
+    assert want[0] in (ValueError, OverflowError, EvoalgError)
+
+
+def test_verify_checks_a_block_in_one_kernel_call(monkeypatch):
+    # the batched path never builds a structure matrix or runs the scalar
+    # kernel when every lane passes its checks: one rb_components per block
+    calls = []
+    kernel = rbo.rb_components
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    def scalar(*args):
+        raise AssertionError("per-sample path")
+
+    monkeypatch.setattr(rbo, "rb_components", counted)
+    monkeypatch.setattr(rbo, "algebra_matrix", scalar)
+    monkeypatch.setattr(rbo, "rb_residual_norm_general", scalar)
+    for fid in ("w1:E5:caseD", "w1:E6:curve", "w0:E1"):
+        fam = next(f for f in _SAMPLED if f.family_id == fid)
+        for block, blocks in ((1024, 1), (64, 4)):
+            monkeypatch.setattr(rbo, "VERIFY_BLOCK", block)
+            calls.clear()
+            assert verify_family(fam, 200, seed=1).passed
+            assert len(calls) == blocks, (fid, block)
 
 
 def test_case_d_admissible_point():
