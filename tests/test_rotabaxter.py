@@ -209,9 +209,11 @@ def test_verify_checks_a_block_in_one_kernel_call(monkeypatch):
     monkeypatch.setattr(rbo, "rb_components", counted)
     monkeypatch.setattr(rbo, "algebra_matrix", scalar)
     monkeypatch.setattr(rbo, "rb_residual_norm_general", scalar)
+    assert rbo.VERIFY_BLOCK >= 200
+    sizes = ((rbo.VERIFY_BLOCK, 1), (64, 4))
     for fid in ("w1:E5:caseD", "w1:E6:curve", "w0:E1"):
         fam = next(f for f in _SAMPLED if f.family_id == fid)
-        for block, blocks in ((1024, 1), (64, 4)):
+        for block, blocks in sizes:
             monkeypatch.setattr(rbo, "VERIFY_BLOCK", block)
             calls.clear()
             assert verify_family(fam, 200, seed=1).passed
