@@ -371,3 +371,31 @@ def test_golden_csvs_have_header_width_rows():
         with open(path, newline="", encoding="ascii") as fh:
             header, *rows = csv.reader(fh)
         assert rows and all(len(row) == len(header) for row in rows), path.name
+
+
+# One chain config per family on the window [0,4]x[0,4] at resolution 8, so
+# every cell centre is k/2 + 1/4 and the thresholds (a = 2.25, C = 1.75) and
+# the diagonal s = t fall on centres; plus a config whose sqrt argument goes
+# negative (error cells, and a domain error inside a verify triple) and one
+# whose phi vanishes on a centre.
+_CHAIN = _DATA / "chain"
+_CHAIN_CONFIGS = [f"M{k}" for k in range(9)] + ["M2-sqrt-negative", "M1-phi-vanishes"]
+
+
+def _chain_outputs(config, out_dir):
+    """What the chain CLI makes of one config: `cea diagram`'s CSV and SVG,
+    and `cea verify`'s stdout, stderr and exit code."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["cea", "diagram", str(config), "--out", str(out_dir)]) == 0
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["cea", "verify", str(config)])
+    return {"diagram.csv": (out_dir / "diagram.csv").read_bytes(),
+            "diagram.svg": (out_dir / "diagram.svg").read_bytes(),
+            "verify.txt": f"{out.getvalue()}{err.getvalue()}exit {code}\n".encode("ascii")}
+
+
+@pytest.mark.parametrize("name", _CHAIN_CONFIGS)
+def test_chain_outputs_match_golden(tmp_path, name):
+    for file, data in _chain_outputs(_CHAIN / f"{name}.json", tmp_path).items():
+        assert data == (_CHAIN / name / file).read_bytes(), file
