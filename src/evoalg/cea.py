@@ -33,38 +33,29 @@ import cmath
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import COMPLEX, REAL, EvoalgError, StructureMatrix
-from .classify2d import AlgebraClass, canonical_matrix, classify, homomorphism_residual
-from .exprlang import DomainEvalError, Expr, eval_expr, parse_expr, to_string
+from .classify2d import AlgebraClass, _mul2, canonical_matrix, classify, homomorphism_residual
+from .exprlang import Expr, eval_expr, parse_expr, to_string
 
 TimePair = tuple[float, float]
 
-FAMILIES = ("M0", "M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8")
-
-# function slots and threshold slots per family
-_SLOTS = {
-    "M0": ((), ()),
-    "M1": (("rho", "phi"), ()),
-    "M2": (("sigma",), ("a",)),
-    "M3": (("f", "phi"), ()),
-    "M4": (("g",), ("a",)),
-    "M5": (("Phi",), ("C",)),
-    "M6": (("rho", "phi"), ("C",)),
-    "M7": (("Psi",), ("C",)),
-    "M8": (("sigma", "phi"), ("C",)),
+# one row per family: function slots, threshold slot, the slots that sit in
+# denominators (their values must never be zero) and the threshold's region
+# kind (see _REGIONS)
+_FAMILY = {
+    "M0": ((), None, (), None),
+    "M1": (("rho", "phi"), None, ("phi",), None),
+    "M2": (("sigma",), "a", (), "below a"),
+    "M3": (("f", "phi"), None, ("phi",), None),
+    "M4": (("g",), "a", (), "below a"),
+    "M5": (("Phi",), "C", ("Phi",), "after C"),
+    "M6": (("rho", "phi"), "C", ("phi",), "after C"),
+    "M7": (("Psi",), "C", ("Psi",), "before C"),
+    "M8": (("sigma", "phi"), "C", ("phi",), "before C"),
 }
-
-# slots that sit in denominators; their values must never be zero
-_NONVANISHING = {
-    "M1": ("phi",),
-    "M3": ("phi",),
-    "M5": ("Phi",),
-    "M6": ("phi",),
-    "M7": ("Psi",),
-    "M8": ("phi",),
-}
+FAMILIES = tuple(_FAMILY)
 
 
 class OutOfDomainError(EvoalgError):
@@ -84,7 +75,8 @@ class ChainFamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        fn_slots, th_slots = _SLOTS[self.family]
+        fn_slots, th_slot, _, _ = _FAMILY[self.family]
+        th_slots = (th_slot,) if th_slot else ()
         if set(self.functions) != set(fn_slots):
             raise ValueError(
                 f"{self.family} needs functions {sorted(fn_slots)}, got {sorted(self.functions)}"
@@ -106,7 +98,7 @@ class ChainFamilySpec:
 
     def _eval(self, name: str, x: float) -> float:
         v = eval_expr(self.functions[name], x, x)
-        if name in _NONVANISHING.get(self.family, ()) and v == 0.0:
+        if v == 0.0 and name in _FAMILY[self.family][2]:
             raise ConstraintViolation(
                 f"{name} != 0 violated: {name}={to_string(self.functions[name])!r} "
                 f"vanishes at {x}"
@@ -121,59 +113,44 @@ def _sm(rows) -> StructureMatrix:
 _ZERO2 = _sm([[0.0, 0.0], [0.0, 0.0]])
 
 
+# Each threshold family is live (True) or zero (False) at a time pair
+# 0 <= s <= t by the rule of its region kind, or covered by no branch (None).
+_REGIONS = {
+    "below a": lambda s, t, a: True if 0.0 < s <= t < a else (False if t >= a else None),
+    "after C": lambda s, t, C: False if s < t <= C else (True if t > C else None),
+    "before C": lambda s, t, C: s < C,
+}
+
+# the live matrix of each family, from `ev(slot, time)`
+_LIVE = {
+    "M0": lambda ev, s, t: _ZERO2,
+    "M1": lambda ev, s, t: _sm([[0.0, ev("rho", s) * ev("phi", t)],
+                                [0.0, ev("phi", t) / ev("phi", s)]]),
+    "M2": lambda ev, s, t: _sm([[0.0, ev("sigma", s)], [0.0, 1.0]]),
+    "M3": lambda ev, s, t: _sm([[0.0, 0.0],
+                                [ev("f", t) / ev("phi", s), ev("phi", t) / ev("phi", s)]]),
+    "M4": lambda ev, s, t: _sm([[0.0, 0.0], [ev("g", t), 1.0]]),
+    "M5": lambda ev, s, t: _sm([[0.0, ev("Phi", t) / ev("Phi", s)], [0.0, 0.0]]),
+    "M6": lambda ev, s, t: _sm([[0.0, ev("rho", s) / ev("phi", t)], [0.0, 0.0]]),
+    "M7": lambda ev, s, t: _sm([[0.0, 0.0], [ev("Psi", t) / ev("Psi", s), 0.0]]),
+    "M8": lambda ev, s, t: _sm([[0.0, 0.0], [ev("sigma", t) / ev("phi", s), 0.0]]),
+}
+
+
 def family_matrix(spec: ChainFamilySpec, s: float, t: float) -> StructureMatrix:
     """Structure matrix of the family at the time pair (s, t)."""
     if not (0.0 <= s <= t):
         raise OutOfDomainError(f"time pair (s={s}, t={t}) outside 0 <= s <= t")
     f = spec.family
-    th = spec.thresholds
-    ev = spec._eval
-    if f == "M0":
-        return _ZERO2
-    if f == "M1":
-        return _sm([[0.0, ev("rho", s) * ev("phi", t)],
-                    [0.0, ev("phi", t) / ev("phi", s)]])
-    if f == "M2":
-        a = th["a"]
-        if 0.0 < s <= t < a:
-            return _sm([[0.0, ev("sigma", s)], [0.0, 1.0]])
-        if t >= a:
+    _, slot, _, region = _FAMILY[f]
+    if region:
+        x = spec.thresholds[slot]
+        live = _REGIONS[region](s, t, x)
+        if not live:
+            if live is None:
+                raise OutOfDomainError(f"(s={s}, t={t}) not covered by {f} branches ({slot}={x})")
             return _ZERO2
-        raise OutOfDomainError(f"(s={s}, t={t}) not covered by M2 branches (a={a})")
-    if f == "M3":
-        return _sm([[0.0, 0.0],
-                    [ev("f", t) / ev("phi", s), ev("phi", t) / ev("phi", s)]])
-    if f == "M4":
-        a = th["a"]
-        if 0.0 < s <= t < a:
-            return _sm([[0.0, 0.0], [ev("g", t), 1.0]])
-        if t >= a:
-            return _ZERO2
-        raise OutOfDomainError(f"(s={s}, t={t}) not covered by M4 branches (a={a})")
-    if f == "M5":
-        C = th["C"]
-        if s < t <= C:
-            return _ZERO2
-        if t > C:
-            return _sm([[0.0, ev("Phi", t) / ev("Phi", s)], [0.0, 0.0]])
-        raise OutOfDomainError(f"(s={s}, t={t}) not covered by M5 branches (C={C})")
-    if f == "M6":
-        C = th["C"]
-        if s < t <= C:
-            return _ZERO2
-        if t > C:
-            return _sm([[0.0, ev("rho", s) / ev("phi", t)], [0.0, 0.0]])
-        raise OutOfDomainError(f"(s={s}, t={t}) not covered by M6 branches (C={C})")
-    if f == "M7":
-        C = th["C"]
-        if s < C:
-            return _sm([[0.0, 0.0], [ev("Psi", t) / ev("Psi", s), 0.0]])
-        return _ZERO2
-    # M8
-    C = th["C"]
-    if s < C:
-        return _sm([[0.0, 0.0], [ev("sigma", t) / ev("phi", s), 0.0]])
-    return _ZERO2
+    return _LIVE[f](spec._eval, s, t)
 
 
 # --- Chapman-Kolmogorov sampling ----------------------------------------------
@@ -197,12 +174,6 @@ class CkReport:
                 f"{self.max_violation:.3e} (tol {self.tol:.1e}){worst}")
 
 
-def _mat2mul(P, Q):
-    return tuple(
-        tuple(sum(P[i][k] * Q[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-    )
-
-
 def sample_triples(samples: int, seed: int, t_max: float = 10.0):
     """Seeded triples s < tau < t: s ~ U(0.1, t_max/3), tau ~ U(s+eps,
     2 t_max/3), t ~ U(tau+eps, t_max), with eps = 1e-3.  Raises ValueError
@@ -220,6 +191,25 @@ def sample_triples(samples: int, seed: int, t_max: float = 10.0):
     return out
 
 
+def _sampled_law(violation, samples: int, seed: int, tol: float, t_max: float) -> CkReport:
+    """The largest violation(s, tau, t) over seeded triples, checked against
+    tol; an EvoalgError raised inside a triple names the triple."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    worst = 0.0
+    worst_triple = None
+    for (s, tau, t) in sample_triples(samples, seed, t_max):
+        try:
+            v = violation(s, tau, t)
+        except EvoalgError as e:
+            # name the triple in place: the error keeps its type and fields
+            e.args = (f"{e} [triple (s={s}, tau={tau}, t={t})]",)
+            raise
+        if v > worst:
+            worst, worst_triple = v, (s, tau, t)
+    return CkReport(samples, tol, worst, worst_triple, worst <= tol)
+
+
 def verify_ck(spec, samples: int = 1000, seed: int = 0, tol: float = 1e-9,
               t_max: float = 10.0) -> CkReport:
     """Sampled check of M[s,t] = M[s,tau] M[tau,t].
@@ -227,23 +217,14 @@ def verify_ck(spec, samples: int = 1000, seed: int = 0, tol: float = 1e-9,
     `spec` is a ChainFamilySpec or any callable (s, t) -> StructureMatrix
     (callables support fault-injection tests).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     mat = spec if callable(spec) else (lambda s, t: family_matrix(spec, s, t))
-    worst = 0.0
-    worst_triple = None
-    for (s, tau, t) in sample_triples(samples, seed, t_max):
-        try:
-            left = _mat2mul(mat(s, tau).entries, mat(tau, t).entries)
-            right = mat(s, t).entries
-        except EvoalgError as e:
-            # name the triple in place: the error keeps its type and fields
-            e.args = (f"{e} [triple (s={s}, tau={tau}, t={t})]",)
-            raise
-        v = max(abs(left[i][j] - right[i][j]) for i in range(2) for j in range(2))
-        if v > worst:
-            worst, worst_triple = v, (s, tau, t)
-    return CkReport(samples, tol, worst, worst_triple, worst <= tol)
+
+    def violation(s, tau, t):
+        left = _mul2(mat(s, tau).entries, mat(tau, t).entries)
+        right = mat(s, t).entries
+        return max(abs(left[i][j] - right[i][j]) for i in range(2) for j in range(2))
+
+    return _sampled_law(violation, samples, seed, tol, t_max)
 
 
 # --- scalar functional equations ----------------------------------------------
@@ -298,21 +279,14 @@ def verify_cantor(delta, equation: str = "cantor", samples: int = 1000, seed: in
     delta(s,tau)delta(tau,t) = 0 ("degenerate")."""
     if equation not in ("cantor", "degenerate"):
         raise ValueError(f"unknown equation {equation!r}")
-    if not isinstance(delta, CantorDelta) and not callable(delta):
+    if not callable(delta):
         delta = CantorDelta.from_expr(delta)
-    worst = 0.0
-    worst_triple = None
-    for (s, tau, t) in sample_triples(samples, seed, t_max):
-        try:
-            prod = delta(s, tau) * delta(tau, t)
-            target = delta(s, t) if equation == "cantor" else 0.0
-        except EvoalgError as e:
-            e.args = (f"{e} [triple (s={s}, tau={tau}, t={t})]",)
-            raise
-        v = abs(prod - target)
-        if v > worst:
-            worst, worst_triple = v, (s, tau, t)
-    return CkReport(samples, tol, worst, worst_triple, worst <= tol)
+
+    def violation(s, tau, t):
+        prod = delta(s, tau) * delta(tau, t)
+        return abs(prod - (delta(s, t) if equation == "cantor" else 0.0))
+
+    return _sampled_law(violation, samples, seed, tol, t_max)
 
 
 # --- time-depending dynamics ----------------------------------------------------
@@ -328,8 +302,7 @@ def classify_dynamics(spec: ChainFamilySpec, s: float, t: float,
     E2-type region would split further by the sign of the product of the
     nonzero entries).
     """
-    A = family_matrix(spec, s, t)
-    return classify(StructureMatrix(A.entries, COMPLEX), COMPLEX, tol=tol)
+    return classify(family_matrix(spec, s, t), COMPLEX, tol=tol)
 
 
 def expected_dynamics_class(spec: ChainFamilySpec, s: float, t: float,
@@ -448,7 +421,6 @@ def check_dynamics_witness(spec: ChainFamilySpec, s: float, t: float) -> float:
     exact (up to roundoff) when the region table is right."""
     tag, S = dynamics_witness(spec, s, t)
     A = family_matrix(spec, s, t)
-    A = StructureMatrix(A.entries, COMPLEX)
     if S is None:
         return 0.0 if A.is_zero() else float("inf")
     B = canonical_matrix(AlgebraClass(COMPLEX, tag))
@@ -546,25 +518,19 @@ def property_diagram(spec: ChainFamilySpec, property_tag: str,
     smin, smax, tmin, tmax = (float(v) for v in window)
     if not (smax > smin and tmax > tmin):
         raise ValueError("empty window")
-    rows = []
-    ds = (smax - smin) / ns
-    dt = (tmax - tmin) / nt
-    for j in range(nt):
-        t = tmin + (j + 0.5) * dt
-        row = []
-        for i in range(ns):
-            s = smin + (i + 0.5) * ds
-            if not (0.0 <= s <= t):
-                row.append(OUT_OF_DOMAIN)
-                continue
-            try:
-                row.append(classify_dynamics(spec, s, t, tol=tol).tag)
-            except OutOfDomainError:
-                row.append(OUT_OF_DOMAIN)
-            except (DomainEvalError, ConstraintViolation, EvoalgError):
-                row.append(ERROR)
-        rows.append(tuple(row))
-    return PropertyDiagram(property_tag, (smin, smax, tmin, tmax), (ns, nt), tuple(rows))
+    grid = PropertyDiagram(property_tag, (smin, smax, tmin, tmax), (ns, nt), ())
+    rows = [[] for _ in range(nt)]
+    for _, j, s, t in grid.cell_centers():
+        if not (0.0 <= s <= t):
+            rows[j].append(OUT_OF_DOMAIN)
+            continue
+        try:
+            rows[j].append(classify_dynamics(spec, s, t, tol=tol).tag)
+        except OutOfDomainError:
+            rows[j].append(OUT_OF_DOMAIN)
+        except EvoalgError:
+            rows[j].append(ERROR)
+    return replace(grid, cells=tuple(map(tuple, rows)))
 
 
 # --- config files ----------------------------------------------------------------
@@ -572,22 +538,18 @@ def property_diagram(spec: ChainFamilySpec, property_tag: str,
 SCHEMA_VERSION = 1
 
 
-def load_config(path_or_text) -> dict:
-    """Load a chain-family run config (JSON).
+def load_config(path) -> dict:
+    """Load a chain-family run config from a JSON file.
 
     Required keys: schema_version, family.  Optional: functions (map of slot
     name to expression string), thresholds, window [smin, smax, tmin, tmax],
     resolution [ns, nt] or int, seed, tolerance, samples, t_max, property.
     """
-    if isinstance(path_or_text, str) and path_or_text.lstrip().startswith("{"):
-        raw = path_or_text
-    else:
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise EvoalgError(f"bad config JSON: {e}") from None
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise EvoalgError(f"bad config JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise EvoalgError("config must be a JSON object")
     version = cfg.get("schema_version")

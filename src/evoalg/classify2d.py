@@ -134,8 +134,11 @@ class BasisChange:
     def __post_init__(self):
         rows = tuple(tuple(complex(z) for z in r) for r in self.entries)
         object.__setattr__(self, "entries", rows)
-        if abs(self.det) <= DET_TOL:
-            raise ValueError(f"basis change is singular within {DET_TOL}: det={self.det}")
+        # relative to the products that make up det, so the test does not
+        # depend on scale; a NaN determinant fails it too
+        (a, b), (c, d) = rows
+        if not abs(self.det) > DET_TOL * (abs(a * d) + abs(b * c)):
+            raise ValueError(f"basis change is singular within relative {DET_TOL}: det={self.det}")
 
     @property
     def det(self) -> complex:

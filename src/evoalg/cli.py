@@ -19,7 +19,6 @@ from .core import (
     COMPLEX,
     REAL,
     EvoalgError,
-    StructureMatrix,
     format_complex,
     read_matrix_file,
 )
@@ -153,8 +152,7 @@ def cmd_cea_diagram(args) -> int:
 
 def cmd_rbo_verify(args) -> int:
     weights = (0, 1) if args.weight == "all" else (int(args.weight),)
-    algebras = ("E1", "E2", "E3", "E4", "E5", "E6") if args.algebra == "all" \
-        else (args.algebra,)
+    algebras = rbo_mod.ALGEBRAS if args.algebra == "all" else (args.algebra,)
     reports = []
     for w in weights:
         for tag in algebras:
@@ -178,10 +176,7 @@ def cmd_rbo_verify(args) -> int:
 
 def cmd_rbo_search(args) -> int:
     params = _parse_params(args.params)
-    if args.algebra == "E0":
-        A = StructureMatrix.zero(2, COMPLEX)
-    else:
-        A = canonical_matrix(AlgebraClass(COMPLEX, args.algebra, params))
+    A = canonical_matrix(AlgebraClass(COMPLEX, args.algebra, params))
     points = rbo_mod.search(A, args.weight, starts=args.starts,
                             seed=_resolve(args.seed, 0), tol=_resolve(args.tol, 1e-9))
     text = _csv_text(["r11", "r12", "r21", "r22", "residual", "annotation"],

@@ -46,6 +46,9 @@ class UnknownAlgebraError(EvoalgError):
     pass
 
 
+ALGEBRAS = ("E1", "E2", "E3", "E4", "E5", "E6")  # the algebras the catalog covers
+
+
 # --- catalog ------------------------------------------------------------------
 # Each family is one row of the text catalog_text prints (README, "Catalog
 # rows"): family id, row id, matrix, algebra parameters ("x = ..." names one
@@ -280,7 +283,7 @@ _ALL_FAMILIES = [RboFamily(*row) for row in _ROWS]
 
 def catalog(algebra: str, weight: int) -> list[RboFamily]:
     """All catalog families for one algebra tag and weight."""
-    if algebra not in ("E1", "E2", "E3", "E4", "E5", "E6"):
+    if algebra not in ALGEBRAS:
         raise UnknownAlgebraError(f"no catalog for algebra {algebra!r}")
     if weight not in (0, 1):
         raise ValueError("weight must be 0 or 1")
@@ -544,7 +547,7 @@ def _annotator(A: StructureMatrix, weight: int):
     (_, a12), (a21, a22) = A.entries
     layout = {"E5": (a12, a21), "E6": (a22,)}
     fams, ap = [], ()
-    for tag in ("E1", "E2", "E3", "E4", "E5", "E6"):
+    for tag in ALGEBRAS:
         params = layout.get(tag, ())
         try:
             B = algebra_matrix(tag, params)
@@ -612,22 +615,9 @@ class DerivedSystem:
 def symbolic_algebra(tag: str):
     """Structure matrix of a canonical complex algebra with symbolic
     parameters (x, or x and y) as polynomial entries."""
-    V = _N2_VARS
-    one = Poly.const(V, 1.0)
-    zero = Poly.const(V, 0.0)
-    x = Poly.var(V, "x")
-    y = Poly.var(V, "y")
-    fixed = {
-        "E1": ((one, zero), (zero, zero)),
-        "E2": ((one, zero), (one, zero)),
-        "E3": ((one, one), (-one, -one)),
-        "E4": ((zero, one), (zero, zero)),
-        "E5": ((one, x), (y, one)),
-        "E6": ((zero, one), (one, x)),
-    }
-    if tag not in fixed:
+    if tag not in ALGEBRAS:
         raise UnknownAlgebraError(f"no symbolic form for {tag!r}")
-    return fixed[tag]
+    return canonical_rows(COMPLEX, tag, (Poly.var(_N2_VARS, "x"), Poly.var(_N2_VARS, "y")))
 
 
 def derive_system(A, weight: int, tol: float = 1e-12) -> DerivedSystem:

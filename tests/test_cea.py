@@ -49,29 +49,83 @@ def test_family_matrix_m5_branches():
     assert A.entries[1][1] == 0
 
 
+# Each threshold family with its threshold at 2, and the exact edges of its
+# region rule: the family is "zero" or "live" there, or raises
+# OutOfDomainError with the given text.  The region table gives no class at
+# any of them.
+_THRESHOLD_FAMILIES = {
+    "M2": mk("M2", {"sigma": "1+s"}, {"a": 2.0}),
+    "M4": mk("M4", {"g": "1+t"}, {"a": 2.0}),
+    "M5": mk("M5", {"Phi": "exp(t)"}, {"C": 2.0}),
+    "M6": mk("M6", {"rho": "1+s", "phi": "exp(t)"}, {"C": 2.0}),
+    "M7": mk("M7", {"Psi": "exp(t)"}, {"C": 2.0}),
+    "M8": mk("M8", {"sigma": "1+t", "phi": "exp(s)"}, {"C": 2.0}),
+}
+_EDGES = [
+    *[(f, s, t, want) for f in ("M2", "M4") for s, t, want in (
+        (0.5, 2.0, "zero"),  # t = a
+        (2.0, 2.0, "zero"),  # s = t = a
+        (0.0, 2.0, "zero"),  # s = 0, t = a
+        (1.0, 1.0, "live"),  # s = t < a
+        (0.0, 1.0, f"not covered by {f} branches (a=2.0)"),  # s = 0, t < a
+        (0.0, 0.0, f"not covered by {f} branches (a=2.0)"),
+    )],
+    *[(f, s, t, want) for f in ("M5", "M6") for s, t, want in (
+        (0.5, 2.0, "zero"),  # s < t = C
+        (2.0, 2.0, f"not covered by {f} branches (C=2.0)"),  # s = t = C
+        (1.0, 1.0, f"not covered by {f} branches (C=2.0)"),  # s = t < C
+        (0.0, 0.0, f"not covered by {f} branches (C=2.0)"),
+    )],
+    *[(f, s, t, want) for f in ("M7", "M8") for s, t, want in (
+        (2.0, 3.0, "zero"),  # s = C
+        (2.0, 2.0, "zero"),  # s = t = C
+    )],
+]
+
+
 def test_family_matrix_branch_boundaries():
+    for f, s, t, want in _EDGES:
+        spec = _THRESHOLD_FAMILIES[f]
+        if want in ("zero", "live"):
+            assert family_matrix(spec, s, t).is_zero() == (want == "zero"), (f, s, t)
+            assert expected_dynamics_class(spec, s, t) is None, (f, s, t)
+    # just inside each live region
     m2 = mk("M2", {"sigma": "1+s"}, {"a": 2.0})
-    assert family_matrix(m2, 0.5, 2.0).is_zero()          # t >= a exactly
-    assert not family_matrix(m2, 0.5, 1.999999).is_zero()  # live branch below a
+    assert not family_matrix(m2, 0.5, 1.999999).is_zero()
     m5 = mk("M5", {"Phi": "exp(t)"}, {"C": 2.0})
-    assert family_matrix(m5, 0.5, 2.0).is_zero()           # s < t <= C
     assert not family_matrix(m5, 0.5, 2.000001).is_zero()  # t > C
     m7 = mk("M7", {"Psi": "exp(t)"}, {"C": 2.0})
-    assert family_matrix(m7, 2.0, 3.0).is_zero()           # s >= C
     assert not family_matrix(m7, 1.999999, 3.0).is_zero()
 
 
 def test_family_matrix_out_of_domain():
-    m2 = mk("M2", {"sigma": "s"}, {"a": 2.0})
-    with pytest.raises(OutOfDomainError):
-        family_matrix(m2, 0.0, 1.0)  # needs 0 < s when t < a
+    for f, s, t, want in _EDGES:
+        spec = _THRESHOLD_FAMILIES[f]
+        if want not in ("zero", "live"):
+            with pytest.raises(OutOfDomainError) as info:
+                family_matrix(spec, s, t)
+            assert str(info.value) == f"(s={s}, t={t}) {want}"
+            assert expected_dynamics_class(spec, s, t) is None, (f, s, t)
     m5 = mk("M5", {"Phi": "exp(t)"}, {"C": 2.0})
-    with pytest.raises(OutOfDomainError):
-        family_matrix(m5, 1.0, 1.0)  # s = t <= C covered by no branch
     with pytest.raises(OutOfDomainError):
         family_matrix(m5, 2.0, 1.0)  # s > t
     with pytest.raises(OutOfDomainError):
         family_matrix(m5, -1.0, 1.0)
+    assert expected_dynamics_class(m5, 2.0, 1.0) is None
+
+
+def test_region_table_excludes_near_zeros_of_the_case_split():
+    # the class changes where the case-splitting function vanishes, and at
+    # s = t where M1's clause needs s < t; within eps of either, no class
+    m1 = M1(rho="s-1")
+    assert expected_dynamics_class(m1, 2.0, 2.0) is None
+    assert expected_dynamics_class(m1, 1.0 + 1e-9, 2.0) is None
+    assert expected_dynamics_class(m1, 1.0, 2.0) == "E1"
+    for spec, s, t in ((mk("M2", {"sigma": "s-1"}, {"a": 3.0}), 1.0 + 1e-9, 2.0),
+                       (mk("M6", {"rho": "s-1", "phi": "exp(t)"}, {"C": 2.0}), 1.0 + 1e-9, 3.0),
+                       (mk("M8", {"sigma": "t-3", "phi": "exp(s)"}, {"C": 2.0}), 1.0, 3.0 + 1e-9)):
+        assert expected_dynamics_class(spec, s, t) is None, spec.family
+        assert expected_dynamics_class(spec, s, t, eps=0.0) is not None, spec.family
 
 
 def test_nonvanishing_constraint():
@@ -158,6 +212,18 @@ def test_verify_cantor_examples():
     assert not verify_cantor(CantorDelta.cutoff(1.0, "exp(t)/exp(s)"), "cantor", 1000, 0).passed
     with pytest.raises(ValueError):
         verify_cantor("0", "unknown")
+
+
+def test_verify_cantor_needs_samples():
+    # zero or negative samples would check nothing and pass
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            verify_cantor("0", "cantor", samples)
+
+
+def test_verify_cantor_names_the_triple_of_an_error():
+    with pytest.raises(EvoalgError, match=r"sqrt.*\[triple \(s=.*, tau=.*, t=.*\)\]$"):
+        verify_cantor("sqrt(s-1)", "cantor", 100, 0)
 
 
 def test_classify_dynamics_m1():
@@ -269,12 +335,14 @@ def test_load_config_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("t_max", [0.1, 0, -5, math.nan, math.inf])
-def test_t_max_below_the_range_of_s_is_refused(t_max):
+def test_t_max_below_the_range_of_s_is_refused(t_max, tmp_path):
     # s ~ U(0.1, t_max/3) is a range only from t_max = 0.3 on
     with pytest.raises(ValueError, match="t_max"):
         sample_triples(1, 0, t_max)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"schema_version": 1, "family": "M0", "t_max": t_max}))
     with pytest.raises(EvoalgError, match="t_max"):
-        load_config(json.dumps({"schema_version": 1, "family": "M0", "t_max": t_max}))
+        load_config(p)
     assert all(0 < s < tau < t <= 0.3 for s, tau, t in sample_triples(200, 1, 0.3))
 
 

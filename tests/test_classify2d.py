@@ -524,6 +524,28 @@ def test_degenerate_rank2_parameters_rejected():
 def test_basis_change_rejects_singular():
     with pytest.raises(ValueError):
         BasisChange(((1, 1), (1, 1)))
+    # the test is relative to the products in det: a NaN det is singular, and
+    # a small or large scale alone is not
+    with pytest.raises(ValueError):
+        BasisChange(((math.nan, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        BasisChange(((1e20, 1e20), (1e20, 1e20 * (1 + 1e-15))))
+    BasisChange(((1e-7, 0), (0, 1e-7)))
+
+
+@pytest.mark.parametrize("field, rows", [
+    ("complex", [[0, 1e12], [0, 0]]), ("real", [[0, 1e12], [0, 0]]),
+    ("complex", [[0, 1e300], [0, 0]]), ("real", [[0, 1e300], [0, 0]]),
+    ("complex", [[0, 0], [1e15j, 0]]),
+])
+def test_large_e4_keeps_its_witness(field, rows):
+    # the E4 witness diag(1, 1/b) has det 1/b, which an absolute DET_TOL
+    # called singular from b = 1e12 on
+    A = SM(rows, field)
+    cls, w = classify_with_witness(A, field)
+    assert cls.tag == "E4"
+    assert homomorphism_residual(A, canonical_matrix(cls), w) < 1e-18
+    assert find_isomorphism(A, A) is not None
 
 
 def test_classify_field_mismatch():

@@ -89,6 +89,14 @@ def test_cea_verify_bad_config(tmp_path, capsys):
     assert code == 1
 
 
+def test_cea_config_path_starting_with_brace(tmp_path, capsys, monkeypatch):
+    # a config argument is a file path, whatever its first character
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "{run}.json").write_text(json.dumps(dict(_M1, samples=50)))
+    code, out, err = run(capsys, "cea", "verify", "{run}.json")
+    assert code == 0 and "pass" in out, err
+
+
 def test_cea_diagram_outputs(tmp_path, capsys):
     cfg = tmp_path / "m5.json"
     cfg.write_text(json.dumps({
@@ -199,6 +207,7 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
     (["cea", "verify", "CONFIG"], dict(_M1, t_max=0)),
     (["cea", "verify", "CONFIG"], dict(_M1, t_max=-5)),
     (["cea", "diagram", "CONFIG"], dict(_M1, t_max=math.nan)),
+    (["rbo", "search", "--algebra", "E0", "--params", "1", "--weight", "0"], None),
 ], ids=["unknown-command", "search-weight-7", "verify-weight-5", "verify-weight-abc",
         "rbo-verify-samples-0", "cea-verify-samples-0", "config-list", "config-window-int",
         "config-seed-list", "config-function-int", "config-functions-list",
@@ -211,7 +220,7 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
         "verify-tolerance-str", "diagram-tolerance-str", "verify-schema-true",
         "diagram-schema-true", "verify-t_max-str", "verify-seed-str", "verify-window-empty",
         "verify-resolution-negative", "verify-t_max-0.1", "verify-t_max-0", "verify-t_max-neg",
-        "diagram-t_max-nan"])
+        "diagram-t_max-nan", "search-E0-params"])
 def test_input_errors_exit_1(capsys, tmp_path, argv, config):
     # every bad input is reported on one error: line with exit 1, never a
     # traceback or argparse's exit 2 (which would read as "unclassifiable")
