@@ -613,8 +613,8 @@ class DerivedSystem:
 
 
 def symbolic_algebra(tag: str):
-    """Structure matrix of a canonical complex algebra with symbolic
-    parameters (x, or x and y) as polynomial entries."""
+    """Rows of a canonical complex algebra with its parameters (x, or x and
+    y) as polynomial entries; derive_system lifts the numeric ones."""
     if tag not in ALGEBRAS:
         raise UnknownAlgebraError(f"no symbolic form for {tag!r}")
     return canonical_rows(COMPLEX, tag, (Poly.var(_N2_VARS, "x"), Poly.var(_N2_VARS, "y")))
