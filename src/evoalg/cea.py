@@ -35,8 +35,11 @@ import math
 import random
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .core import COMPLEX, REAL, EvoalgError, StructureMatrix
-from .classify2d import AlgebraClass, _mul2, canonical_matrix, classify, homomorphism_residual
+from .classify2d import (AlgebraClass, _mul2, canonical_matrix, classify, classify_tags,
+                         homomorphism_residual)
 from .exprlang import Expr, eval_expr, parse_expr, to_string
 
 TimePair = tuple[float, float]
@@ -113,27 +116,29 @@ def _sm(rows) -> StructureMatrix:
 _ZERO2 = _sm([[0.0, 0.0], [0.0, 0.0]])
 
 
-# Each threshold family is live (True) or zero (False) at a time pair
-# 0 <= s <= t by the rule of its region kind, or covered by no branch (None).
+# Each threshold family is live or zero at a time pair 0 <= s <= t by the
+# rule of its region kind, or covered by no branch (neither).  A rule returns
+# (live, zero) and joins comparisons with &, so it runs on floats and arrays.
 _REGIONS = {
-    "below a": lambda s, t, a: True if 0.0 < s <= t < a else (False if t >= a else None),
-    "after C": lambda s, t, C: False if s < t <= C else (True if t > C else None),
-    "before C": lambda s, t, C: s < C,
+    "below a": lambda s, t, a: ((0.0 < s) & (s <= t) & (t < a), t >= a),
+    "after C": lambda s, t, C: (t > C, (s < t) & (t <= C)),
+    "before C": lambda s, t, C: (s < C, s >= C),
 }
 
-# the live matrix of each family, from `ev(slot, time)`
+# the rows of the live matrix of each family, from `ev(slot, time)`; they
+# run on floats and on arrays
 _LIVE = {
-    "M0": lambda ev, s, t: _ZERO2,
-    "M1": lambda ev, s, t: _sm([[0.0, ev("rho", s) * ev("phi", t)],
-                                [0.0, ev("phi", t) / ev("phi", s)]]),
-    "M2": lambda ev, s, t: _sm([[0.0, ev("sigma", s)], [0.0, 1.0]]),
-    "M3": lambda ev, s, t: _sm([[0.0, 0.0],
-                                [ev("f", t) / ev("phi", s), ev("phi", t) / ev("phi", s)]]),
-    "M4": lambda ev, s, t: _sm([[0.0, 0.0], [ev("g", t), 1.0]]),
-    "M5": lambda ev, s, t: _sm([[0.0, ev("Phi", t) / ev("Phi", s)], [0.0, 0.0]]),
-    "M6": lambda ev, s, t: _sm([[0.0, ev("rho", s) / ev("phi", t)], [0.0, 0.0]]),
-    "M7": lambda ev, s, t: _sm([[0.0, 0.0], [ev("Psi", t) / ev("Psi", s), 0.0]]),
-    "M8": lambda ev, s, t: _sm([[0.0, 0.0], [ev("sigma", t) / ev("phi", s), 0.0]]),
+    "M0": lambda ev, s, t: ((0.0, 0.0), (0.0, 0.0)),
+    "M1": lambda ev, s, t: ((0.0, ev("rho", s) * ev("phi", t)),
+                            (0.0, ev("phi", t) / ev("phi", s))),
+    "M2": lambda ev, s, t: ((0.0, ev("sigma", s)), (0.0, 1.0)),
+    "M3": lambda ev, s, t: ((0.0, 0.0),
+                            (ev("f", t) / ev("phi", s), ev("phi", t) / ev("phi", s))),
+    "M4": lambda ev, s, t: ((0.0, 0.0), (ev("g", t), 1.0)),
+    "M5": lambda ev, s, t: ((0.0, ev("Phi", t) / ev("Phi", s)), (0.0, 0.0)),
+    "M6": lambda ev, s, t: ((0.0, ev("rho", s) / ev("phi", t)), (0.0, 0.0)),
+    "M7": lambda ev, s, t: ((0.0, 0.0), (ev("Psi", t) / ev("Psi", s), 0.0)),
+    "M8": lambda ev, s, t: ((0.0, 0.0), (ev("sigma", t) / ev("phi", s), 0.0)),
 }
 
 
@@ -145,12 +150,62 @@ def family_matrix(spec: ChainFamilySpec, s: float, t: float) -> StructureMatrix:
     _, slot, _, region = _FAMILY[f]
     if region:
         x = spec.thresholds[slot]
-        live = _REGIONS[region](s, t, x)
-        if not live:
-            if live is None:
-                raise OutOfDomainError(f"(s={s}, t={t}) not covered by {f} branches ({slot}={x})")
+        live, zero = _REGIONS[region](s, t, x)
+        if zero:
             return _ZERO2
-    return _LIVE[f](spec._eval, s, t)
+        if not live:
+            raise OutOfDomainError(f"(s={s}, t={t}) not covered by {f} branches ({slot}={x})")
+    rows = _LIVE[f](spec._eval, s, t)
+    entries = rows[0] + rows[1]
+    if not all(map(math.isfinite, entries)):  # a product or quotient overflowed
+        k = next(k for k, z in enumerate(entries) if not math.isfinite(z))
+        raise EvoalgError(f"{f} matrix entry a{k // 2 + 1}{k % 2 + 1} = {entries[k]!r} "
+                          f"is not finite at (s={s}, t={t})")
+    return _sm(rows)
+
+
+def _slot_values(spec: ChainFamilySpec):
+    """`ev(slot, x)` for arrays x of times, as the scalar `spec._eval` gives it
+    (numpy's exp, log and power round differently) and NaN where that raises.
+    Each slot is evaluated once per distinct time over all calls."""
+    memo = {}
+
+    def ev(name, x):
+        u = np.sort(x, axis=None)
+        u = u[np.r_[True, u[1:] != u[:-1]]]  # np.unique would import numpy.ma, 0.5 MB
+        vals = []
+        for v in u.tolist():
+            key = (name, v)
+            if key not in memo:
+                try:
+                    memo[key] = spec._eval(name, v)
+                except EvoalgError:
+                    memo[key] = math.nan
+            vals.append(memo[key])
+        return np.array(vals, dtype=float)[np.searchsorted(u, x)]
+
+    return ev
+
+
+def _family_arrays(spec: ChainFamilySpec, ev, s, t):
+    """family_matrix over arrays of time pairs (s, t): the entries, shape
+    s.shape + (2, 2) and zero off the live pairs, whether each pair is
+    covered by a branch, and whether a covered pair fails (a slot it uses
+    raised, NaN from `ev`, or an entry is not finite)."""
+    f = spec.family
+    _, slot, _, region = _FAMILY[f]
+    covered = live = (0.0 <= s) & (s <= t)
+    if region:
+        live, zero = _REGIONS[region](s, t, spec.thresholds[slot])
+        live = live & covered
+        covered = covered & (live | zero)
+    out = np.zeros(np.shape(s) + (2, 2))
+    if live.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, row in enumerate(_LIVE[f](ev, s[live], t[live])):
+                for j, z in enumerate(row):
+                    out[live, i, j] = z
+    return out, covered, live & ~np.isfinite(out).all(axis=(-2, -1))
 
 
 # --- Chapman-Kolmogorov sampling ----------------------------------------------
@@ -210,13 +265,23 @@ def _sampled_law(violation, samples: int, seed: int, tol: float, t_max: float) -
     return CkReport(samples, tol, worst, worst_triple, worst <= tol)
 
 
+CK_BLOCK = 1024  # triples per array pass of verify_ck
+
+
 def verify_ck(spec, samples: int = 1000, seed: int = 0, tol: float = 1e-9,
               t_max: float = 10.0) -> CkReport:
     """Sampled check of M[s,t] = M[s,tau] M[tau,t].
 
     `spec` is a ChainFamilySpec or any callable (s, t) -> StructureMatrix
-    (callables support fault-injection tests).
+    (callables support fault-injection tests).  A ChainFamilySpec is checked
+    in blocks of CK_BLOCK triples as arrays; a block with a failing slot
+    value, an uncovered pair or a non-finite product sends the whole check to
+    the per-triple loop, which raises or reports exactly as before.
     """
+    if not callable(spec) and samples >= 1:
+        report = _ck_blocks(spec, samples, seed, tol, t_max)
+        if report is not None:
+            return report
     mat = spec if callable(spec) else (lambda s, t: family_matrix(spec, s, t))
 
     def violation(s, tau, t):
@@ -225,6 +290,32 @@ def verify_ck(spec, samples: int = 1000, seed: int = 0, tol: float = 1e-9,
         return max(abs(left[i][j] - right[i][j]) for i in range(2) for j in range(2))
 
     return _sampled_law(violation, samples, seed, tol, t_max)
+
+
+def _ck_blocks(spec: ChainFamilySpec, samples, seed, tol, t_max) -> CkReport | None:
+    """verify_ck's report from array passes, or None where a triple needs the
+    per-triple loop.  The product is the loop's float64 arithmetic (its
+    complex entries have zero imaginary parts), and np.argmax takes the first
+    of equal maxima as the loop's strict > does."""
+    triples = sample_triples(samples, seed, t_max)
+    ev = _slot_values(spec)
+    worst, worst_triple = 0.0, None
+    for k in range(0, samples, CK_BLOCK):
+        block = np.array(triples[k:k + CK_BLOCK])
+        s, tau, t = block.T
+        (m1, c1, f1), (m2, c2, f2), (m3, c3, f3) = (
+            _family_arrays(spec, ev, x, y) for x, y in ((s, tau), (tau, t), (s, t)))
+        if not (c1 & c2 & c3).all() or (f1 | f2 | f3).any():
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = m1[:, :, :1] * m2[:, None, 0] + m1[:, :, 1:] * m2[:, None, 1]
+            v = np.abs(left - m3).max(axis=(1, 2))
+        if not np.isfinite(v).all():
+            return None
+        i = int(np.argmax(v))
+        if v[i] > worst:
+            worst, worst_triple = float(v[i]), triples[k + i]
+    return CkReport(samples, tol, worst, worst_triple, worst <= tol)
 
 
 # --- scalar functional equations ----------------------------------------------
@@ -456,14 +547,20 @@ class PropertyDiagram:
     resolution: tuple[int, int]
     cells: tuple  # rows indexed by t-cell then s-cell; each entry a class tag
 
-    def cell_centers(self):
+    def axes(self):
+        """The s of each column and the t of each row of cell centres."""
         smin, smax, tmin, tmax = self.window
         ns, nt = self.resolution
         ds = (smax - smin) / ns
         dt = (tmax - tmin) / nt
-        for j in range(nt):
-            for i in range(ns):
-                yield i, j, smin + (i + 0.5) * ds, tmin + (j + 0.5) * dt
+        return ([smin + (i + 0.5) * ds for i in range(ns)],
+                [tmin + (j + 0.5) * dt for j in range(nt)])
+
+    def cell_centers(self):
+        ss, ts = self.axes()
+        for j, t in enumerate(ts):
+            for i, s in enumerate(ss):
+                yield i, j, s, t
 
     def in_property(self, tag: str) -> bool:
         if self.property_tag == "evolution-algebra":
@@ -471,9 +568,12 @@ class PropertyDiagram:
         return tag == self.property_tag
 
     def to_csv(self) -> str:
+        ss, ts = self.axes()
+        heads = [f"{s!r}," for s in ss]
         lines = ["s,t,class_tag"]
-        for i, j, s, t in self.cell_centers():
-            lines.append(f"{s!r},{t!r},{self.cells[j][i]}")
+        for t, row in zip(ts, self.cells):
+            mid = f"{t!r},"
+            lines.extend([head + mid + tag for head, tag in zip(heads, row)])
         return "\n".join(lines) + "\n"
 
     def to_svg(self) -> str:
@@ -484,16 +584,13 @@ class PropertyDiagram:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
             f'viewBox="0 0 {w} {h}">'
         ]
-        for j in range(nt):
-            for i in range(ns):
-                tag = self.cells[j][i]
-                color = CLASS_COLORS.get(tag, "#888888")
-                # t grows upward: flip the row index
-                y = (nt - 1 - j) * cell_px
-                out.append(
-                    f'<rect x="{i * cell_px}" y="{y}" width="{cell_px}" '
-                    f'height="{cell_px}" fill="{color}"/>'
-                )
+        heads = [f'<rect x="{i * cell_px}" y="' for i in range(ns)]
+        tails = {tag: f'" width="{cell_px}" height="{cell_px}" '
+                      f'fill="{CLASS_COLORS.get(tag, "#888888")}"/>'
+                 for tag in set().union(*self.cells)}
+        for j, row in enumerate(self.cells):
+            y = f"{(nt - 1 - j) * cell_px}"  # t grows upward: flip the row index
+            out.extend([head + y + tails[tag] for head, tag in zip(heads, row)])
         out.append("</svg>")
         return "\n".join(out) + "\n"
 
@@ -518,19 +615,27 @@ def property_diagram(spec: ChainFamilySpec, property_tag: str,
     smin, smax, tmin, tmax = (float(v) for v in window)
     if not (smax > smin and tmax > tmin):
         raise ValueError("empty window")
+    if not (math.isfinite(smax - smin) and math.isfinite(tmax - tmin)):
+        raise ValueError(f"window width overflows: {(smin, smax, tmin, tmax)}")
     grid = PropertyDiagram(property_tag, (smin, smax, tmin, tmax), (ns, nt), ())
-    rows = [[] for _ in range(nt)]
-    for _, j, s, t in grid.cell_centers():
-        if not (0.0 <= s <= t):
-            rows[j].append(OUT_OF_DOMAIN)
-            continue
+    ss, ts = grid.axes()
+    s, t = np.meshgrid(ss, ts)
+    entries, covered, failed = _family_arrays(spec, _slot_values(spec), s, t)
+    cells = np.empty(s.shape, dtype=object)
+    cells.fill(OUT_OF_DOMAIN)  # np.full would store a copy of the string per cell
+    cells[failed] = ERROR
+    todo = covered & ~failed
+    if todo.any():
+        cells[todo] = classify_tags(entries[todo], COMPLEX, tol)
+    # the cells the batch leaves undecided take the scalar path
+    for j, i in np.argwhere(np.equal(cells, None)):
         try:
-            rows[j].append(classify_dynamics(spec, s, t, tol=tol).tag)
+            cells[j, i] = classify_dynamics(spec, ss[i], ts[j], tol=tol).tag
         except OutOfDomainError:
-            rows[j].append(OUT_OF_DOMAIN)
+            cells[j, i] = OUT_OF_DOMAIN
         except EvoalgError:
-            rows[j].append(ERROR)
-    return replace(grid, cells=tuple(map(tuple, rows)))
+            cells[j, i] = ERROR
+    return replace(grid, cells=tuple(map(tuple, cells.tolist())))
 
 
 # --- config files ----------------------------------------------------------------
@@ -593,7 +698,8 @@ def load_config(path) -> dict:
         if not (isinstance(v, list) and len(v) == 4):
             raise ValueError(v)
         smin, smax, tmin, tmax = edges = tuple(float(number(x)) for x in v)
-        if not (all(map(math.isfinite, edges)) and smax > smin and tmax > tmin):
+        if not (math.isfinite(smax - smin) and math.isfinite(tmax - tmin)
+                and smax > smin and tmax > tmin):  # finite edges, widths that do not overflow
             raise ValueError(v)
         return edges
 

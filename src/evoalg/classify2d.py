@@ -26,6 +26,10 @@ parameters are the closed-form ones the witness was checked against.
 Witnesses are invertible basis changes with a quantified homomorphism
 residual.  Since the classification is a complete invariant, find_isomorphism
 between two arbitrary algebras composes their witnesses.
+
+classify_tags runs the same decisions on a stack of matrices as numpy
+arrays and returns only the tags; it leaves every matrix it cannot decide
+with a clear margin to `classify`.
 """
 
 from __future__ import annotations
@@ -188,12 +192,10 @@ def rescale_permute(A: StructureMatrix, scales, perm=(0, 1)) -> StructureMatrix:
 # --- homomorphism residual ----------------------------------------------------
 
 
-def _hom_components(A: StructureMatrix, B: StructureMatrix, T) -> list[complex]:
+def _hom_components(a, b, t) -> list[complex]:
     """The six complex components g(e_i e_j) - g(e_i) *_B g(e_j) over pairs
-    (1,1), (2,2), (1,2), where g maps A's basis by the rows of T."""
-    a = A.entries
-    b = B.entries
-    t = T
+    (1,1), (2,2), (1,2), where g maps A's basis by the rows of T; a, b and t
+    are the entry rows of A, B and T (scalars, or arrays of lanes)."""
     out = []
     for i in (0, 1):
         for k in (0, 1):
@@ -208,7 +210,7 @@ def _hom_components(A: StructureMatrix, B: StructureMatrix, T) -> list[complex]:
 def homomorphism_residual(A: StructureMatrix, B: StructureMatrix, T) -> float:
     """Sum over basis pairs i <= j of |g(e_i e_j) - g(e_i) g(e_j)|^2."""
     entries = T.entries if isinstance(T, BasisChange) else T
-    return sum(abs(z) ** 2 for z in _hom_components(A, B, entries))
+    return sum(abs(z) ** 2 for z in _hom_components(A.entries, B.entries, entries))
 
 
 def _det2(t) -> complex:
@@ -219,6 +221,11 @@ def _inv2(t):
     d = _det2(t)
     if d == 0:
         return None
+    return _inv_rows(t, d)
+
+
+def _inv_rows(t, d):
+    """adj(t) / d: the inverse of t when d is its determinant; on arrays too."""
     return ((t[1][1] / d, -t[0][1] / d), (-t[1][0] / d, t[0][0] / d))
 
 
@@ -244,7 +251,7 @@ def _unpack(x: np.ndarray, complex_mode: bool):
 # The real-mode arrays are contiguous copies: numpy's matmul takes another
 # summation order on a strided view, and the polish would change its bits.
 def _residual_vec(A, B, T, complex_mode: bool) -> np.ndarray:
-    r = np.array(_hom_components(A, B, T))
+    r = np.array(_hom_components(A.entries, B.entries, T))
     return r.view(float) if complex_mode else r.real.copy()
 
 
@@ -552,3 +559,147 @@ def _cube_roots(z: complex, field: str):
         return [complex(math.copysign(abs(r) ** (1.0 / 3.0), r))]
     principal = z ** (1.0 / 3.0)
     return [principal, principal * _OMEGA, principal * _OMEGA * _OMEGA]
+
+
+# --- batched tags ------------------------------------------------------------
+
+TAG_BLOCK = 1024   # matrices per array pass of classify_tags
+TAG_MARGIN = 1e-3  # relative clearance every threshold test of classify_tags needs
+# the gap between numpy's and Python's evaluation of one short formula is
+# below _ROUND times the sum of the magnitudes of its terms
+_ROUND = 64 * np.finfo(float).eps
+# outside this range of max |a_ij| powers of the entries under- or overflow
+_TAG_SCALES = (1e-60, 1e60)
+
+
+def _below(q, bound, terms=0.0):
+    """q <= bound holds for the scalar evaluation as well."""
+    return q + _ROUND * terms <= bound * (1 - TAG_MARGIN)
+
+
+def _above(q, bound, terms=0.0):
+    """q > bound holds for the scalar evaluation as well."""
+    return q - _ROUND * terms > bound * (1 + TAG_MARGIN)
+
+
+def _apart(x, y):
+    """x >= y (x, y >= 0) has the same outcome for the scalar evaluation."""
+    return np.abs(x - y) > _ROUND * (x + y)
+
+
+def _residual_below(a, b, t, bound, gap):
+    """homomorphism_residual < bound holds for the scalar evaluation as well,
+    when each entry of t is off by at most _ROUND * gap relative to its size.
+    Each component is then off by at most _ROUND * gap times the magnitudes
+    of its terms, which the kernel adds up when it runs on |a|, -|b|, |t|."""
+    size = lambda rows, sign=1.0: tuple(tuple(sign * abs(z) for z in row) for row in rows)
+    terms = _hom_components(size(a), size(b, -1.0), size(t))
+    bound_sq = sum((abs(z) + _ROUND * gap * e) ** 2
+                   for z, e in zip(_hom_components(a, b, t), terms))
+    return _below(bound_sq, bound)
+
+
+def classify_tags(entries, field: str = COMPLEX, tol: float = DEFAULT_TOL) -> list:
+    """The class tag of each matrix of a stack of shape (n, 2, 2), or None
+    where the batched tests cannot decide it; callers send those to
+    `classify`.
+
+    The tests run in classify_with_witness's order on numpy arrays, TAG_BLOCK
+    matrices at a time: the zero test, the E4 shape, the rank, the rank-1
+    factorization row_i = lam_i * w, the kappa and lam1*lam2 order of the
+    candidates, and the first candidate's closed-form start, which must pass
+    `_accepts` as it stands.  A matrix is decided only where every test clears
+    its bound by the relative margin TAG_MARGIN beyond the rounding gap
+    between numpy and Python arithmetic, and every value is finite, so a
+    decided tag is the tag `classify` returns.  Rank 2, a first candidate
+    other than E1 or E2, a start that would need the polish and every near tie
+    are left undecided.
+    """
+    if not tol >= 0:  # NaN fails this too
+        raise ValueError(f"tolerance must be non-negative, got {tol!r}")
+    if field not in (REAL, COMPLEX):
+        raise ValueError(f"unknown field mode {field!r}")
+    A = np.asarray(entries, dtype=complex).reshape(-1, 2, 2)
+    tags = np.full(len(A), None, dtype=object)
+    with np.errstate(all="ignore"):
+        for k in range(0, len(A), TAG_BLOCK):
+            block = A[k:k + TAG_BLOCK]
+            m = np.abs(block).max(axis=(1, 2))
+            ok = np.isfinite(block).all(axis=(1, 2))
+            if field == REAL:
+                ok &= (block.imag == 0).all(axis=(1, 2))
+            tags[k + np.flatnonzero(ok & _below(m, tol))] = "E0"
+            ok &= _above(m, tol) & (m >= _TAG_SCALES[0]) & (m <= _TAG_SCALES[1])
+            (a, b), (c, d) = block[:, 0].T, block[:, 1].T
+            e4 = (a == 0) & (d == 0) & ((c == 0) | (b == 0))
+            tags[k + np.flatnonzero(ok & e4)] = "E4"
+            lanes = np.flatnonzero(ok & ~e4)
+            if len(lanes):
+                tags[k + lanes] = _rank1_tags(block[lanes], m[lanes], field, tol)
+    return tags.tolist()
+
+
+def _rank1_tags(A, m, field, tol):
+    """classify_tags past the zero and E4 tests: "E1", "E2" or None."""
+    tags = np.full(len(A), None, dtype=object)
+    rows = ((A[:, 0, 0], A[:, 0, 1]), (A[:, 1, 0], A[:, 1, 1]))
+    (a, b), (c, d) = rows
+    absA = np.abs(A)
+    scale = np.maximum(1.0, m)
+
+    # rank 1, written row_i = lam_i * w (_rank1_data)
+    ad, bc = a * d, b * c
+    ok = _below(np.abs(ad - bc), tol * scale * scale, np.abs(ad) + np.abs(bc))
+    norms = absA.max(axis=2)
+    ok &= _apart(norms[:, 0], norms[:, 1])
+    p = (norms[:, 0] < norms[:, 1]).astype(int)
+    lanes = np.arange(len(A))
+    w, r_q = A[lanes, p], A[lanes, 1 - p]
+    ok &= _apart(absA[lanes, p, 0], absA[lanes, p, 1])
+    j = (absA[lanes, p, 0] < absA[lanes, p, 1]).astype(int)
+    lam_q = r_q[lanes, j] / w[lanes, j]
+    fit = lam_q[:, None] * w
+    ok &= _below(np.abs(r_q - fit), (tol * scale)[:, None],
+                 np.abs(r_q) + np.abs(fit)).all(axis=1)
+    lam = (np.where(p == 0, 1.0 + 0j, lam_q), np.where(p == 0, lam_q, 1.0 + 0j))
+    w = (w[:, 0], w[:, 1])
+
+    # the candidate order (_classify_rank1); E3 first is left undecided
+    k0, k1 = w[0] * w[0] * lam[0], w[1] * w[1] * lam[1]
+    kappa = k0 + k1
+    ll = lam[0] * lam[1]
+    ok &= _above(np.abs(kappa), tol * scale * scale, np.abs(k0) + np.abs(k1))
+    e1 = _below(np.abs(ll), tol, np.abs(ll))
+    ok &= e1 | _above(np.abs(ll), tol, np.abs(ll))
+    if field == REAL:  # the real E5 comes first when lam1*lam2 < 0
+        ok &= e1 | _above(ll.real, 0.0, np.abs(ll))
+
+    # the first candidate's start: _start_E1 or _start_E2, then _safe_inv_start
+    absl = (np.abs(lam[0]), np.abs(lam[1]))
+    z = absl[0] > absl[1]
+    ok &= ~e1 | (_apart(absl[0], absl[1]) & _below(np.where(z, absl[1], absl[0]), tol))
+    u = (w[0] / kappa, w[1] / kappa)
+    mu = 1.0 / (kappa * np.sqrt(ll))
+    v = (np.where(e1, (~z).astype(float), mu * w[1] * lam[1]),
+         np.where(e1, z.astype(float), -mu * w[0] * lam[0]))
+    S = (u, v)
+    sp, sq = S[0][0] * S[1][1], S[0][1] * S[1][0]
+    ok &= _above(np.abs(sp - sq), 1e-150, np.abs(sp) + np.abs(sq))
+    T = _inv_rows(S, sp - sq)
+    ok &= np.all([np.isfinite(z) for row in T for z in row], axis=0)
+    if field == REAL:  # find_isomorphism's real-mode round trip keeps real parts
+        T = tuple(tuple(z.real + 0j for z in row) for row in T)
+    # the entries of T, and of its inverse, are off from the scalar ones by
+    # at most _ROUND * gap relative to their size: inverting S amplifies
+    # the gap of S's entries by the condition (|sp| + |sq|) / |det S|
+    gap = 4.0 * (1.0 + (np.abs(sp) + np.abs(sq)) / np.abs(sp - sq))
+
+    # _accepts(A, B, T) for B the canonical E1 or E2
+    B = ((1.0, 0.0), (np.where(e1, 0.0, 1.0), 0.0))
+    tp, tq = T[0][0] * T[1][1], T[0][1] * T[1][0]
+    ok &= _above(np.abs(tp - tq), DET_TOL, gap * (np.abs(tp) + np.abs(tq)))
+    ok &= _residual_below(rows, B, T, ISO_TOL, gap)
+    ok &= _residual_below(B, rows, _inv_rows(T, tp - tq), INV_TOL, gap)
+    tags[ok & e1] = "E1"
+    tags[ok & ~e1] = "E2"
+    return tags

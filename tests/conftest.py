@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from evoalg.cea import ERROR, OUT_OF_DOMAIN, OutOfDomainError, classify_dynamics
+from evoalg.core import EvoalgError
 from evoalg.polys import Poly
 from evoalg.rotabaxter import _function, _source
 
@@ -55,6 +57,32 @@ def golden_poly(line: str, variables) -> Poly:
     lhs, rhs = line.split("=")
     src, _ = _source(f"{lhs}-({rhs})", {})
     return _function(src)({v: Poly.var(variables, v) for v in variables})
+
+
+def per_cell_diagram(spec, window, resolution, tol=1e-9):
+    """The cells of a property diagram, one classify_dynamics call per cell
+    centre: the loop `cea.property_diagram` ran before it was batched, kept
+    as the oracle of the batched path."""
+    smin, smax, tmin, tmax = window
+    ns = nt = resolution
+    ds, dt = (smax - smin) / ns, (tmax - tmin) / nt
+    rows = []
+    for j in range(nt):
+        t = tmin + (j + 0.5) * dt
+        row = []
+        for i in range(ns):
+            s = smin + (i + 0.5) * ds
+            if not (0.0 <= s <= t):
+                row.append(OUT_OF_DOMAIN)
+                continue
+            try:
+                row.append(classify_dynamics(spec, s, t, tol=tol).tag)
+            except OutOfDomainError:
+                row.append(OUT_OF_DOMAIN)
+            except EvoalgError:
+                row.append(ERROR)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def random_complex_matrix(rng: random.Random, n: int, scale: float = 2.0):

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from evoalg import cea
 from evoalg.core import EvoalgError, StructureMatrix
+from evoalg.exprlang import DomainEvalError
 from evoalg.cea import (
+    FAMILIES,
     CantorDelta,
     ChainFamilySpec,
     ConstraintViolation,
@@ -20,6 +23,9 @@ from evoalg.cea import (
     verify_cantor,
     verify_ck,
 )
+
+from conftest import per_cell_diagram
+from test_acceptance import INSTANCES
 
 mk = ChainFamilySpec.make
 
@@ -202,6 +208,64 @@ def test_verify_ck_semigroup_per_triple():
         assert max(abs(prod[i][j] - right[i][j]) for i in range(2) for j in range(2)) < 1e-9
 
 
+def _outcome(check):
+    try:
+        return check()
+    except EvoalgError as e:
+        return type(e), str(e)
+
+
+def _ck_both(spec, samples, seed, t_max=10.0):
+    """verify_ck's outcome on the spec (array passes) and on the per-triple
+    loop it falls back to (a callable spec)."""
+    loop = lambda s, t: family_matrix(spec, s, t)
+    return (_outcome(lambda: verify_ck(spec, samples, seed, t_max=t_max)),
+            _outcome(lambda: verify_ck(loop, samples, seed, t_max=t_max)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_ck_blocks_match_the_per_triple_loop(family, monkeypatch):
+    monkeypatch.setattr(cea, "CK_BLOCK", 64)  # several blocks per check
+    for inst in INSTANCES.get(family, [{}]):
+        spec = mk(family, inst.get("functions"), inst.get("thresholds"))
+        for seed in range(3):
+            batched, loop = _ck_both(spec, 300, seed, t_max=10.0 if seed else 4.0)
+            assert isinstance(batched, cea.CkReport) and batched == loop, (family, inst, seed)
+
+
+def test_verify_ck_blocks_match_the_loop_at_the_default_block():
+    spec = M1("s-2", "2+sin(t)")
+    batched, loop = _ck_both(spec, 2500, 7)
+    assert batched == loop and batched.worst_triple is not None
+
+
+def test_verify_ck_errors_match_the_per_triple_loop(monkeypatch):
+    cases = [
+        (mk("M2", {"sigma": "0.804*sqrt(s-1)"}, {"a": 2.5}), DomainEvalError),
+        (M1("s", "0*t"), ConstraintViolation),
+        (M1("1e200", "1e200*t"), EvoalgError),  # a12 overflows
+    ]
+    for spec, kind in cases:
+        batched, loop = _ck_both(spec, 200, 1)
+        assert batched == loop and batched[0] is kind, batched
+        assert "[triple (s=" in batched[1]
+    # no sampled triple leaves the branches; s = 0 does for M2
+    monkeypatch.setattr(cea, "sample_triples", lambda n, seed, t_max: [(1.0, 1.5, 2.0)] * 3
+                        + [(0.0, 1.0, 2.0)] + [(1.0, 1.5, 2.0)] * (n - 4))
+    batched, loop = _ck_both(mk("M2", {"sigma": "s"}, {"a": 2.5}), 10, 0)
+    assert batched == loop and batched[0] is OutOfDomainError, batched
+
+
+def test_non_finite_entry_is_an_evoalg_error():
+    # an overflowing entry is an error of its cell, not of the whole diagram
+    spec = M1("1e200", "1e200*t")
+    with pytest.raises(EvoalgError, match=r"M1 matrix entry a12 = inf is not finite "
+                                          r"at \(s=1.0, t=2.0\)"):
+        family_matrix(spec, 1.0, 2.0)
+    d = property_diagram(spec, "error", (0, 4, 0, 4), 8)
+    assert {tag for row in d.cells for tag in row} == {"error", "out_of_domain"}
+
+
 def test_verify_cantor_examples():
     assert verify_cantor("exp(t)/exp(s)", "cantor", 1000, 0).passed
     assert verify_cantor("0", "cantor", 500, 0).passed
@@ -303,6 +367,31 @@ def test_property_diagram_validation():
         property_diagram(spec, "E0", (0, 4, 0, 4), 1)
     with pytest.raises(ValueError):
         property_diagram(spec, "E0", (4, 0, 0, 4), 8)
+    with pytest.raises(ValueError, match="width overflows"):  # every centre was (inf, inf)
+        property_diagram(spec, "E0", (-1e308, 1e308, -1e308, 1e308), 4)
+
+
+# the centres of a 64-cell axis over this window are k/16: the thresholds
+# 2 and 2.5 and the diagonal s = t fall on cell centres
+_ON_CENTRES = (-0.03125, 3.96875, -0.03125, 3.96875)
+
+
+@pytest.mark.parametrize("family", sorted(INSTANCES))
+def test_property_diagram_matches_the_per_cell_loop(family):
+    for inst in INSTANCES[family]:
+        spec = mk(family, inst.get("functions"), inst.get("thresholds"))
+        d = property_diagram(spec, "E4", _ON_CENTRES, 64)
+        assert d.cells == per_cell_diagram(spec, _ON_CENTRES, 64), (family, inst)
+
+
+def test_property_diagram_error_cells_match_the_per_cell_loop():
+    # domain errors, vanishing denominators and overflow, cell by cell
+    for spec in (M1("sqrt(s-1)", "log(t)"), M1("1/(s-2)", "t-1"), M1("1e200*s", "1e200*t"),
+                 mk("M3", {"f": "log(t-1)", "phi": "s-1"}),
+                 mk("M8", {"sigma": "t-2", "phi": "log(s)"}, {"C": 3.0})):
+        for tol in (1e-9, 0.0):
+            d = property_diagram(spec, "error", _ON_CENTRES, 32, tol=tol)
+            assert d.cells == per_cell_diagram(spec, _ON_CENTRES, 32, tol), spec
 
 
 def test_diagram_csv_deterministic():

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from evoalg.core import StructureMatrix
+from evoalg.core import EvoalgError, StructureMatrix
 from evoalg.classify2d import (
     AlgebraClass,
     BasisChange,
     UnclassifiableError,
     canonical_matrix,
     classify,
+    classify_tags,
     classify_with_witness,
     find_isomorphism,
     homomorphism_residual,
@@ -635,3 +636,71 @@ def test_classify_never_wrong_across_scales():
             except UnclassifiableError:
                 unclassifiable += 1
     assert unclassifiable > 0  # the envelope is real, and it fails loudly
+
+
+# --- batched tags --------------------------------------------------------------
+
+_SIGN = st.sampled_from([1.0, -1.0])
+_ZERO = st.sampled_from([0.0, -0.0])
+_SCALED = st.builds(lambda m, e, sign: sign * m * 10.0 ** e,
+                    st.floats(1.0, 10.0), st.integers(-12, 12), _SIGN)
+
+
+def _near(tol):
+    """tol * (1 + side * 10^-k): values at the structural tolerance."""
+    return st.builds(lambda k, side, sign: sign * tol * (1.0 + side * 10.0 ** -k),
+                     st.integers(1, 15), st.sampled_from([1.0, -1.0, 0.0]), _SIGN)
+
+
+def _matrices(tol, field):
+    x = st.one_of(_near(tol), _SCALED, _ZERO)
+    if field == "complex":
+        x = x | st.builds(complex, _SCALED, _SCALED)
+    chain = st.one_of(
+        st.builds(lambda z, b, d: ((z, b), (z, d)), _ZERO, x, x),       # M1, M2
+        st.builds(lambda z, c, d: ((z, z), (c, d)), _ZERO, x, x),       # M3, M4
+        st.builds(lambda z, b: ((z, b), (z, z)), _ZERO, x),             # M5, M6
+        st.builds(lambda z, c: ((z, z), (c, z)), _ZERO, x))             # M7, M8
+    near_rank1 = st.builds(
+        lambda r0, r1, lam, k: ((r0, r1), (lam * r0 * (1.0 + 10.0 ** -k), lam * r1)),
+        x, x, _SCALED, st.integers(1, 17))
+    any_rank = st.tuples(st.tuples(x, x), st.tuples(x, x))
+    return st.one_of(chain, near_rank1, any_rank)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_classify_tags_matches_classify(data):
+    # a decided tag is classify's tag; where classify raises, no tag
+    field = data.draw(st.sampled_from(["complex", "real"]))
+    tol = data.draw(st.sampled_from([1e-9, 0.0, 1e-3, 1e-12]))
+    stack = data.draw(st.lists(_matrices(tol, field), min_size=1, max_size=12))
+    tags = classify_tags(stack, field, tol)
+    assert len(tags) == len(stack)
+    for rows, tag in zip(stack, tags):
+        try:
+            want = classify(SM(rows, "complex"), field, tol=tol).tag
+        except (EvoalgError, ValueError):
+            want = None
+        assert tag is None or tag == want, (rows, field, tol, tag, want)
+
+
+def test_classify_tags_decides_plain_chain_matrices():
+    # moderate chain-family matrices need no scalar fallback
+    rng = random.Random(3)
+    stack, want = [], []
+    for _ in range(200):
+        b, c, d = (rng.choice([-1, 1]) * rng.uniform(0.1, 10.0) for _ in range(3))
+        for rows in (((0, b), (0, d)), ((0, 0), (c, d)), ((0, b), (0, 0)),
+                     ((0, 0), (c, 0)), ((0, 0), (0, 0))):
+            stack.append(rows)
+            want.append(classify(SM(rows, "complex"), "complex").tag)
+    assert classify_tags(stack, "complex", 1e-9) == want
+
+
+def test_classify_tags_validates_like_classify():
+    with pytest.raises(ValueError, match="tolerance must be non-negative"):
+        classify_tags([((0, 1), (0, 0))], "complex", math.nan)
+    assert classify_tags([((1j, 0), (0, 0))], "real") == [None]
+    assert classify_tags([((math.inf, 0), (0, 0))], "complex") == [None]
+    assert classify_tags([], "complex") == []

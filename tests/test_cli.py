@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import tempfile
 
 import pytest
@@ -80,6 +81,20 @@ def test_cea_verify_pass_and_fail(tmp_path, capsys):
     }))
     code, out, _ = run(capsys, "cea", "verify", str(bad))
     assert code == 3 and "FAIL" in out
+
+
+def test_cea_non_finite_entry(tmp_path, capsys):
+    # an overflowing entry makes error cells; cea verify names its triple
+    cfg = tmp_path / "m1.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "family": "M1", "resolution": 8,
+                               "functions": {"rho": "1e200", "phi": "1e200*t"}}))
+    code, out, err = run(capsys, "cea", "diagram", str(cfg), "--property", "error",
+                         "--out", str(tmp_path / "out"))
+    assert code == 0 and "36 cells in property" in out, err
+    code, _, err = run(capsys, "cea", "verify", str(cfg))
+    assert code == 1
+    assert re.match(r"error: M1 matrix entry a12 = inf is not finite at \(s=.*, t=.*\) "
+                    r"\[triple \(s=.*, tau=.*, t=.*\)\]$", err.strip()), err
 
 
 def test_cea_verify_bad_config(tmp_path, capsys):
@@ -208,6 +223,8 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
     (["cea", "verify", "CONFIG"], dict(_M1, t_max=-5)),
     (["cea", "diagram", "CONFIG"], dict(_M1, t_max=math.nan)),
     (["rbo", "search", "--algebra", "E0", "--params", "1", "--weight", "0"], None),
+    (["cea", "diagram", "CONFIG"], {"schema_version": 1, "family": "M0",
+                                    "window": [-1e308, 1e308, -1e308, 1e308]}),
 ], ids=["unknown-command", "search-weight-7", "verify-weight-5", "verify-weight-abc",
         "rbo-verify-samples-0", "cea-verify-samples-0", "config-list", "config-window-int",
         "config-seed-list", "config-function-int", "config-functions-list",
@@ -220,7 +237,7 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
         "verify-tolerance-str", "diagram-tolerance-str", "verify-schema-true",
         "diagram-schema-true", "verify-t_max-str", "verify-seed-str", "verify-window-empty",
         "verify-resolution-negative", "verify-t_max-0.1", "verify-t_max-0", "verify-t_max-neg",
-        "diagram-t_max-nan", "search-E0-params"])
+        "diagram-t_max-nan", "search-E0-params", "diagram-window-width-overflows"])
 def test_input_errors_exit_1(capsys, tmp_path, argv, config):
     # every bad input is reported on one error: line with exit 1, never a
     # traceback or argparse's exit 2 (which would read as "unclassifiable")
