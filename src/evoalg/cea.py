@@ -164,25 +164,28 @@ def family_matrix(spec: ChainFamilySpec, s: float, t: float) -> StructureMatrix:
     return _sm(rows)
 
 
-def _slot_values(spec: ChainFamilySpec):
-    """`ev(slot, x)` for arrays x of times, as the scalar `spec._eval` gives it
-    (numpy's exp, log and power round differently) and NaN where that raises.
-    Each slot is evaluated once per distinct time over all calls."""
-    memo = {}
+def _slot_values(spec: ChainFamilySpec, times):
+    """`ev(slot, x)` for arrays x of values among `times`, as the scalar
+    `spec._eval` gives them (numpy's exp, log and power round differently)
+    and NaN where that raises.  A slot is evaluated once per distinct time,
+    and only at the times some call asks for."""
+    u = np.sort(np.asarray(times, dtype=float), axis=None)
+    u = u[np.r_[True, u[1:] != u[:-1]]]  # np.unique would import numpy.ma, 0.5 MB
+    vals = {name: np.full(len(u), math.nan) for name in _FAMILY[spec.family][0]}
+    done = {name: np.zeros(len(u), dtype=bool) for name in vals}
 
     def ev(name, x):
-        u = np.sort(x, axis=None)
-        u = u[np.r_[True, u[1:] != u[:-1]]]  # np.unique would import numpy.ma, 0.5 MB
-        vals = []
-        for v in u.tolist():
-            key = (name, v)
-            if key not in memo:
-                try:
-                    memo[key] = spec._eval(name, v)
-                except EvoalgError:
-                    memo[key] = math.nan
-            vals.append(memo[key])
-        return np.array(vals, dtype=float)[np.searchsorted(u, x)]
+        i = np.searchsorted(u, x)
+        asked = np.zeros(len(u), dtype=bool)
+        asked[i] = True
+        new = np.flatnonzero(asked & ~done[name])
+        done[name][new] = True
+        for k, v in zip(new.tolist(), u[new].tolist()):
+            try:
+                vals[name][k] = spec._eval(name, v)
+            except EvoalgError:
+                pass
+        return vals[name][i]
 
     return ev
 
@@ -298,11 +301,11 @@ def _ck_blocks(spec: ChainFamilySpec, samples, seed, tol, t_max) -> CkReport | N
     complex entries have zero imaginary parts), and np.argmax takes the first
     of equal maxima as the loop's strict > does."""
     triples = sample_triples(samples, seed, t_max)
-    ev = _slot_values(spec)
     worst, worst_triple = 0.0, None
     for k in range(0, samples, CK_BLOCK):
         block = np.array(triples[k:k + CK_BLOCK])
         s, tau, t = block.T
+        ev = _slot_values(spec, block)
         (m1, c1, f1), (m2, c2, f2), (m3, c3, f3) = (
             _family_arrays(spec, ev, x, y) for x, y in ((s, tau), (tau, t), (s, t)))
         if not (c1 & c2 & c3).all() or (f1 | f2 | f3).any():
@@ -620,7 +623,7 @@ def property_diagram(spec: ChainFamilySpec, property_tag: str,
     grid = PropertyDiagram(property_tag, (smin, smax, tmin, tmax), (ns, nt), ())
     ss, ts = grid.axes()
     s, t = np.meshgrid(ss, ts)
-    entries, covered, failed = _family_arrays(spec, _slot_values(spec), s, t)
+    entries, covered, failed = _family_arrays(spec, _slot_values(spec, ss + ts), s, t)
     cells = np.empty(s.shape, dtype=object)
     cells.fill(OUT_OF_DOMAIN)  # np.full would store a copy of the string per cell
     cells[failed] = ERROR
