@@ -629,7 +629,7 @@ def property_diagram(spec: ChainFamilySpec, property_tag: str,
     cells[failed] = ERROR
     todo = covered & ~failed
     if todo.any():
-        cells[todo] = classify_tags(entries[todo], COMPLEX, tol)
+        cells[todo] = classify_tags(entries[todo], tol)
     # the cells the batch leaves undecided take the scalar path
     for j, i in np.argwhere(np.equal(cells, None)):
         try:

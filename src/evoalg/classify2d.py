@@ -27,8 +27,8 @@ Witnesses are invertible basis changes with a quantified homomorphism
 residual.  Since the classification is a complete invariant, find_isomorphism
 between two arbitrary algebras composes their witnesses.
 
-classify_tags runs the same decisions on a stack of matrices as numpy
-arrays and returns only the tags; it leaves every matrix it cannot decide
+classify_tags runs the same complex-mode decisions on a stack of matrices
+as numpy arrays and returns only the tags; it leaves every matrix it cannot decide
 with a clear margin to `classify`.
 """
 
@@ -599,10 +599,10 @@ def _residual_below(a, b, t, bound, gap):
     return _below(bound_sq, bound)
 
 
-def classify_tags(entries, field: str = COMPLEX, tol: float = DEFAULT_TOL) -> list:
-    """The class tag of each matrix of a stack of shape (n, 2, 2), or None
-    where the batched tests cannot decide it; callers send those to
-    `classify`.
+def classify_tags(entries, tol: float = DEFAULT_TOL) -> list:
+    """The complex-mode class tag of each matrix of a stack of shape
+    (n, 2, 2), or None where the batched tests cannot decide it; callers send
+    those to `classify`.
 
     The tests run in classify_with_witness's order on numpy arrays, TAG_BLOCK
     matrices at a time: the zero test, the E4 shape, the rank, the rank-1
@@ -617,8 +617,6 @@ def classify_tags(entries, field: str = COMPLEX, tol: float = DEFAULT_TOL) -> li
     """
     if not tol >= 0:  # NaN fails this too
         raise ValueError(f"tolerance must be non-negative, got {tol!r}")
-    if field not in (REAL, COMPLEX):
-        raise ValueError(f"unknown field mode {field!r}")
     A = np.asarray(entries, dtype=complex).reshape(-1, 2, 2)
     tags = np.full(len(A), None, dtype=object)
     with np.errstate(all="ignore"):
@@ -626,8 +624,6 @@ def classify_tags(entries, field: str = COMPLEX, tol: float = DEFAULT_TOL) -> li
             block = A[k:k + TAG_BLOCK]
             m = np.abs(block).max(axis=(1, 2))
             ok = np.isfinite(block).all(axis=(1, 2))
-            if field == REAL:
-                ok &= (block.imag == 0).all(axis=(1, 2))
             tags[k + np.flatnonzero(ok & _below(m, tol))] = "E0"
             ok &= _above(m, tol) & (m >= _TAG_SCALES[0]) & (m <= _TAG_SCALES[1])
             (a, b), (c, d) = block[:, 0].T, block[:, 1].T
@@ -635,11 +631,11 @@ def classify_tags(entries, field: str = COMPLEX, tol: float = DEFAULT_TOL) -> li
             tags[k + np.flatnonzero(ok & e4)] = "E4"
             lanes = np.flatnonzero(ok & ~e4)
             if len(lanes):
-                tags[k + lanes] = _rank1_tags(block[lanes], m[lanes], field, tol)
+                tags[k + lanes] = _rank1_tags(block[lanes], m[lanes], tol)
     return tags.tolist()
 
 
-def _rank1_tags(A, m, field, tol):
+def _rank1_tags(A, m, tol):
     """classify_tags past the zero and E4 tests: "E1", "E2" or None."""
     tags = np.full(len(A), None, dtype=object)
     rows = ((A[:, 0, 0], A[:, 0, 1]), (A[:, 1, 0], A[:, 1, 1]))
@@ -671,8 +667,6 @@ def _rank1_tags(A, m, field, tol):
     ok &= _above(np.abs(kappa), tol * scale * scale, np.abs(k0) + np.abs(k1))
     e1 = _below(np.abs(ll), tol, np.abs(ll))
     ok &= e1 | _above(np.abs(ll), tol, np.abs(ll))
-    if field == REAL:  # the real E5 comes first when lam1*lam2 < 0
-        ok &= e1 | _above(ll.real, 0.0, np.abs(ll))
 
     # the first candidate's start: _start_E1 or _start_E2, then _safe_inv_start
     absl = (np.abs(lam[0]), np.abs(lam[1]))
@@ -687,12 +681,13 @@ def _rank1_tags(A, m, field, tol):
     ok &= _above(np.abs(sp - sq), 1e-150, np.abs(sp) + np.abs(sq))
     T = _inv_rows(S, sp - sq)
     ok &= np.all([np.isfinite(z) for row in T for z in row], axis=0)
-    if field == REAL:  # find_isomorphism's real-mode round trip keeps real parts
-        T = tuple(tuple(z.real + 0j for z in row) for row in T)
     # the entries of T, and of its inverse, are off from the scalar ones by
-    # at most _ROUND * gap relative to their size: inverting S amplifies
-    # the gap of S's entries by the condition (|sp| + |sq|) / |det S|
-    gap = 4.0 * (1.0 + (np.abs(sp) + np.abs(sq)) / np.abs(sp - sq))
+    # at most _ROUND * gap relative to their size: the sum kappa = k0 + k1
+    # amplifies the gap of lam by its condition (|k0| + |k1|) / |kappa|,
+    # which u = w / kappa and mu pass on to S, and inverting S amplifies the
+    # gap of S's entries by the condition (|sp| + |sq|) / |det S|
+    cond_kappa = np.maximum(1.0, (np.abs(k0) + np.abs(k1)) / np.abs(kappa))
+    gap = 4.0 * cond_kappa * (1.0 + (np.abs(sp) + np.abs(sq)) / np.abs(sp - sq))
 
     # _accepts(A, B, T) for B the canonical E1 or E2
     B = ((1.0, 0.0), (np.where(e1, 0.0, 1.0), 0.0))

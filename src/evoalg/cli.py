@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import os
 import sys
-from collections import Counter
 
 from .core import (
     COMPLEX,
@@ -146,8 +144,7 @@ def cmd_cea_diagram(args) -> int:
         fh.write(diagram.to_csv())
     with open(svg_path, "w", encoding="ascii") as fh:
         fh.write(diagram.to_svg())
-    counts = Counter(itertools.chain.from_iterable(diagram.cells))
-    n_in = sum(n for tag, n in counts.items() if diagram.in_property(tag))
+    n_in = sum(1 for row in diagram.cells for tag in row if diagram.in_property(tag))
     print(f"diagram {cfg['spec'].family} property={prop}: "
           f"{n_in} cells in property; wrote {csv_path} and {svg_path}")
     return OK

@@ -652,10 +652,15 @@ def _near(tol):
                      st.integers(1, 15), st.sampled_from([1.0, -1.0, 0.0]), _SIGN)
 
 
-def _matrices(tol, field):
-    x = st.one_of(_near(tol), _SCALED, _ZERO)
-    if field == "complex":
-        x = x | st.builds(complex, _SCALED, _SCALED)
+def _kappa_cancels(w0, w1, k, side):
+    """A rank-1 matrix row_i = lam_i * w with lam = (1, lam1), where
+    kappa = w0^2 + lam1 * w1^2 = -side * 10^-k * w0^2 nearly cancels."""
+    lam1 = -(w0 * w0) / (w1 * w1) * (1.0 + side * 10.0 ** -k)
+    return ((w0, w1), (lam1 * w0, lam1 * w1))
+
+
+def _matrices(tol):
+    x = st.one_of(_near(tol), _SCALED, _ZERO) | st.builds(complex, _SCALED, _SCALED)
     chain = st.one_of(
         st.builds(lambda z, b, d: ((z, b), (z, d)), _ZERO, x, x),       # M1, M2
         st.builds(lambda z, c, d: ((z, z), (c, d)), _ZERO, x, x),       # M3, M4
@@ -664,25 +669,28 @@ def _matrices(tol, field):
     near_rank1 = st.builds(
         lambda r0, r1, lam, k: ((r0, r1), (lam * r0 * (1.0 + 10.0 ** -k), lam * r1)),
         x, x, _SCALED, st.integers(1, 17))
+    unit = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(
+        lambda z: abs(z) > 0.1)
+    kappa_cancels = st.builds(_kappa_cancels, unit, unit, st.integers(1, 15),
+                              st.sampled_from([1.0, -1.0, 1j, -1j]))
     any_rank = st.tuples(st.tuples(x, x), st.tuples(x, x))
-    return st.one_of(chain, near_rank1, any_rank)
+    return st.one_of(chain, near_rank1, kappa_cancels, any_rank)
 
 
 @given(data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_classify_tags_matches_classify(data):
     # a decided tag is classify's tag; where classify raises, no tag
-    field = data.draw(st.sampled_from(["complex", "real"]))
     tol = data.draw(st.sampled_from([1e-9, 0.0, 1e-3, 1e-12]))
-    stack = data.draw(st.lists(_matrices(tol, field), min_size=1, max_size=12))
-    tags = classify_tags(stack, field, tol)
+    stack = data.draw(st.lists(_matrices(tol), min_size=1, max_size=12))
+    tags = classify_tags(stack, tol)
     assert len(tags) == len(stack)
     for rows, tag in zip(stack, tags):
         try:
-            want = classify(SM(rows, "complex"), field, tol=tol).tag
+            want = classify(SM(rows, "complex"), tol=tol).tag
         except (EvoalgError, ValueError):
             want = None
-        assert tag is None or tag == want, (rows, field, tol, tag, want)
+        assert tag is None or tag == want, (rows, tol, tag, want)
 
 
 def test_classify_tags_decides_plain_chain_matrices():
@@ -695,12 +703,11 @@ def test_classify_tags_decides_plain_chain_matrices():
                      ((0, 0), (c, 0)), ((0, 0), (0, 0))):
             stack.append(rows)
             want.append(classify(SM(rows, "complex"), "complex").tag)
-    assert classify_tags(stack, "complex", 1e-9) == want
+    assert classify_tags(stack, 1e-9) == want
 
 
 def test_classify_tags_validates_like_classify():
     with pytest.raises(ValueError, match="tolerance must be non-negative"):
-        classify_tags([((0, 1), (0, 0))], "complex", math.nan)
-    assert classify_tags([((1j, 0), (0, 0))], "real") == [None]
-    assert classify_tags([((math.inf, 0), (0, 0))], "complex") == [None]
-    assert classify_tags([], "complex") == []
+        classify_tags([((0, 1), (0, 0))], math.nan)
+    assert classify_tags([((math.inf, 0), (0, 0))]) == [None]
+    assert classify_tags([]) == []
