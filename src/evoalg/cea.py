@@ -630,12 +630,11 @@ def property_diagram(spec: ChainFamilySpec, property_tag: str,
     todo = covered & ~failed
     if todo.any():
         cells[todo] = classify_tags(entries[todo], tol)
-    # the cells the batch leaves undecided take the scalar path
+    # the cells the batch leaves undecided: `classify` on the batch's entries
     for j, i in np.argwhere(np.equal(cells, None)):
         try:
-            cells[j, i] = classify_dynamics(spec, ss[i], ts[j], tol=tol).tag
-        except OutOfDomainError:
-            cells[j, i] = OUT_OF_DOMAIN
+            cells[j, i] = classify(StructureMatrix.from_rows(entries[j, i].tolist(), COMPLEX),
+                                   tol=tol).tag
         except EvoalgError:
             cells[j, i] = ERROR
     return replace(grid, cells=tuple(map(tuple, cells.tolist())))

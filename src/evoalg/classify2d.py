@@ -18,10 +18,12 @@ kappa = w.diag(lam).w and lam1*lam2 order the candidates E1, E2, E3 (and the
 real E5) and give each its basis change.  A rank-2 matrix has E5/E6 parameters
 x = a12*a22/a11^2, y = a21*a11/a22^2 when its diagonal is nonzero, and its
 E6/E7 parameter through cube roots of the off-diagonal product otherwise.
-Each closed-form basis change goes through find_isomorphism, the one
-check-and-polish step: it is accepted as a witness as it stands, or after a
-single Levenberg-Marquardt polish from it.  No other start is tried, so an
-input whose closed-form witnesses all fail is unclassifiable.  The reported
+One generator per rank yields these candidates (tag, params, start) in
+order, and one loop in classify_with_witness passes each to
+find_isomorphism, the one check-and-polish step: the start is accepted as a
+witness as it stands, or after a single Levenberg-Marquardt polish from it.
+No other start is tried, so an input whose closed-form witnesses all fail is
+unclassifiable, as is one whose arithmetic leaves the float range.  The reported
 parameters are the closed-form ones the witness was checked against.
 Witnesses are invertible basis changes with a quantified homomorphism
 residual.  Since the classification is a complete invariant, find_isomorphism
@@ -321,10 +323,11 @@ def find_isomorphism(A: StructureMatrix, B: StructureMatrix, start=None):
     T = _unpack(x0, complex_mode)
     if _accepts(A, B, T):
         return BasisChange(T)
-    x, _, _ = levenberg_marquardt(
-        lambda x: _residual_vec(A, B, _unpack(x, complex_mode), complex_mode),
-        lambda x: _jacobian_vec(A, B, _unpack(x, complex_mode), complex_mode),
-        x0, stop_norm=math.sqrt(ISO_TOL / 12.0) * 0.5)
+    with np.errstate(all="ignore"):  # a polish that overflows is rejected below
+        x, _, _ = levenberg_marquardt(
+            lambda x: _residual_vec(A, B, _unpack(x, complex_mode), complex_mode),
+            lambda x: _jacobian_vec(A, B, _unpack(x, complex_mode), complex_mode),
+            x0, stop_norm=math.sqrt(ISO_TOL / 12.0) * 0.5)
     T = _unpack(x, complex_mode)
     return BasisChange(T) if _accepts(A, B, T) else None
 
@@ -344,10 +347,10 @@ def _accepts(A, B, T) -> bool:
 # --- rank-1 invariants and closed-form starting points -------------------------
 
 
-def _rank1_data(A: StructureMatrix, tol: float):
-    """Write row_i = lam_i * w for a rank-1 matrix; returns (w, lam)."""
+def _rank1_data(A: StructureMatrix, eps: float):
+    """Write row_i = lam_i * w for a rank-1 matrix; returns (w, lam).  eps
+    bounds the defect of the factorization (tol times the entry scale)."""
     r = A.entries
-    scale = max(1.0, A.maxabs())
     norms = [max(abs(z) for z in row) for row in r]
     p = 0 if norms[0] >= norms[1] else 1
     q = 1 - p
@@ -357,7 +360,7 @@ def _rank1_data(A: StructureMatrix, tol: float):
     lam[p] = 1.0 + 0j
     lam[q] = r[q][j] / w[j]
     err = max(abs(r[q][k] - lam[q] * w[k]) for k in (0, 1))
-    if err > tol * scale:
+    if err > eps:
         raise UnclassifiableError(
             f"rows are not proportional within tolerance (defect {err:.3g}); "
             "the input sits near the rank boundary"
@@ -420,7 +423,7 @@ def _start_E3(w, lam):
     return _safe_inv_start((p, q))
 
 
-def _e4_witness(A: StructureMatrix, shape: E4Shape):
+def _e4_witness(shape: E4Shape):
     if shape.variant == "upper":
         S = ((1.0 + 0j, 0j), (0j, shape.entry))
     else:
@@ -452,38 +455,51 @@ def classify_with_witness(A: StructureMatrix, field: str | None = None, *,
     if A.field != field:
         A = StructureMatrix(A.entries, field)
 
-    if A.maxabs() <= tol:
-        return AlgebraClass(field, "E0"), None
-    shape = is_E4_shape(A, tol)
-    if shape.matches:
-        return AlgebraClass(field, "E4"), _e4_witness(A, shape)
+    try:  # an entry modulus, invariant or closed form that over- or underflows
+        m = A.maxabs()
+        if m <= tol:
+            return AlgebraClass(field, "E0"), None
+        shape = is_E4_shape(A, tol)
+        if shape.matches:
+            return AlgebraClass(field, "E4"), _e4_witness(shape)
+        scale = max(1.0, m)
+        rank = 2 if abs(_det2(A.entries)) > tol * scale * scale else 1
+        candidates = _rank2_candidates if rank == 2 else _rank1_candidates
+        for tag, params, start in candidates(A, field, tol, scale):
+            try:
+                B = canonical_matrix(AlgebraClass(field, tag, params))
+            except ValueError:  # 1 - xy = 0: no rank-2 class to verify
+                continue
+            try:
+                witness = find_isomorphism(A, B, start)
+            except OverflowError:  # a residual beyond float range is no witness
+                continue
+            if witness is not None:
+                if field == REAL:
+                    params = tuple(p.real for p in params)
+                return AlgebraClass(field, tag, params), witness
+    except ArithmeticError:  # OverflowError, or ZeroDivisionError after an underflow
+        raise UnclassifiableError("the input is beyond the range of float arithmetic") from None
+    raise UnclassifiableError(
+        f"no rank-{rank} canonical form matched its closed-form witness; "
+        "the input is numerically degenerate" + (" (e.g. 1 - a2*a3 near 0)" if rank == 2 else ""))
 
-    scale = max(1.0, A.maxabs())
-    det = _det2(A.entries)
-    if abs(det) > tol * scale * scale:
-        return _classify_rank2(A, field, tol)
-    return _classify_rank1(A, field, tol)
 
-
-def _classify_rank1(A, field, tol):
-    w, lam = _rank1_data(A, tol)
-    scale = max(1.0, A.maxabs())
+def _rank1_candidates(A, field, tol, scale):
+    """(tag, (), start) for the rank-1 forms, in the order kappa and
+    lam1*lam2 give them; each start is built only once the ones before it
+    have failed."""
+    w, lam = _rank1_data(A, tol * scale)
     kappa = w[0] * w[0] * lam[0] + w[1] * w[1] * lam[1]
     ll = lam[0] * lam[1]
-    kappa_zero = abs(kappa) <= tol * scale * scale
-    ll_zero = abs(ll) <= tol
-
-    if kappa_zero:
-        order = ["E3", "E2", "E5", "E1"]
-    elif ll_zero:
-        order = ["E1", "E2", "E5", "E3"]
+    if abs(kappa) <= tol * scale * scale:
+        order = ("E3", "E2", "E5", "E1")
+    elif abs(ll) <= tol:
+        order = ("E1", "E2", "E5", "E3")
     elif ll.real > 0:
-        order = ["E2", "E5", "E1", "E3"]
+        order = ("E2", "E5", "E1", "E3")
     else:
-        order = ["E5", "E2", "E1", "E3"]
-    if field == COMPLEX:  # E5 is the real form with lam1*lam2 < 0
-        order.remove("E5")
-
+        order = ("E5", "E2", "E1", "E3")
     builders = {
         "E1": lambda: _start_E1(w, lam, kappa, tol),
         "E2": lambda: _start_E2(w, lam, kappa, field == REAL),
@@ -491,43 +507,19 @@ def _classify_rank1(A, field, tol):
         "E5": lambda: _start_E5_real(w, lam, kappa),
     }
     for tag in order:
+        if tag == "E5" and field == COMPLEX:  # the real form with lam1*lam2 < 0
+            continue
         start = builders[tag]()
-        if start is None:
-            continue
-        B = canonical_matrix(AlgebraClass(field, tag))
-        witness = find_isomorphism(A, B, start)
-        if witness is not None:
-            return AlgebraClass(field, tag), witness
-    raise UnclassifiableError(
-        "no rank-1 canonical form matched its closed-form witness; "
-        "the input is numerically degenerate"
-    )
+        if start is not None:
+            yield tag, (), start
 
 
-def _finish_rank2(A, field, tag, reps):
-    """reps: list of (params, start_T) candidates covering the parameter
-    equivalences; tries the lexicographically smallest representative first.
-    The witness is polished onto B(params), so it verifies the closed-form
-    parameters themselves."""
-    key = lambda item: tuple(v for p in item[0] for v in _lex_key(p))
-    for params, T0 in sorted(reps, key=key):
-        try:
-            B = canonical_matrix(AlgebraClass(field, tag, params))
-        except ValueError:  # 1 - xy = 0: no rank-2 class to verify
-            continue
-        witness = find_isomorphism(A, B, T0)
-        if witness is not None:
-            if field == REAL:
-                params = tuple(p.real for p in params)
-            return AlgebraClass(field, tag, params), witness
-    return None
-
-
-def _classify_rank2(A, field, tol):
+def _rank2_candidates(A, field, tol, scale):
+    """(tag, params, start) for each parameter equivalent of a rank-2 matrix,
+    the lexicographically smallest parameters first.  The witness is checked
+    against B(params), so it verifies the closed-form parameters themselves."""
     (a11, a12), (a21, a22) = A.entries
-    scale = max(1.0, A.maxabs())
     eps = tol * scale
-
     if abs(a11) > eps and abs(a22) > eps:
         tag = "E5" if field == COMPLEX else "E6"
         x = a12 * a22 / (a11 * a11)
@@ -544,13 +536,9 @@ def _classify_rank2(A, field, tol):
             inv = _inv2(((0j, d1), (d2, 0j)) if swap else ((d1, 0j), (0j, d2)))
             if inv:
                 reps.append(((d2 * diag,), inv))
-    got = _finish_rank2(A, field, tag, reps)
-    if got:
-        return got
-    raise UnclassifiableError(
-        "no rank-2 canonical form matched its closed-form witness; "
-        "the input is numerically degenerate (e.g. 1 - a2*a3 near 0)"
-    )
+    key = lambda rep: tuple(v for z in rep[0] for v in _lex_key(z))
+    for params, start in sorted(reps, key=key):
+        yield tag, params, start
 
 
 def _cube_roots(z: complex, field: str):
@@ -660,7 +648,7 @@ def _rank1_tags(A, m, tol):
     lam = (np.where(p == 0, 1.0 + 0j, lam_q), np.where(p == 0, lam_q, 1.0 + 0j))
     w = (w[:, 0], w[:, 1])
 
-    # the candidate order (_classify_rank1); E3 first is left undecided
+    # the candidate order (_rank1_candidates); E3 first is left undecided
     k0, k1 = w[0] * w[0] * lam[0], w[1] * w[1] * lam[1]
     kappa = k0 + k1
     ll = lam[0] * lam[1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -43,6 +44,7 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+@functools.cache  # one build per process; parse_args leaves the parser as it was
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="evoalg",
                                 description="evolution-algebra toolkit")

@@ -74,9 +74,6 @@ class StructureMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> tuple[complex, ...]:
-        return self.entries[i]
-
     def maxabs(self) -> float:
         return max(abs(z) for row in self.entries for z in row)
 

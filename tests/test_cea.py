@@ -384,14 +384,31 @@ def test_property_diagram_matches_the_per_cell_loop(family):
         assert d.cells == per_cell_diagram(spec, _ON_CENTRES, 64), (family, inst)
 
 
+# domain errors, vanishing denominators and overflow
+_ERROR_SPECS = (M1("sqrt(s-1)", "log(t)"), M1("1/(s-2)", "t-1"), M1("1e200*s", "1e200*t"),
+                mk("M3", {"f": "log(t-1)", "phi": "s-1"}),
+                mk("M8", {"sigma": "t-2", "phi": "log(s)"}, {"C": 3.0}))
+
+
 def test_property_diagram_error_cells_match_the_per_cell_loop():
-    # domain errors, vanishing denominators and overflow, cell by cell
-    for spec in (M1("sqrt(s-1)", "log(t)"), M1("1/(s-2)", "t-1"), M1("1e200*s", "1e200*t"),
-                 mk("M3", {"f": "log(t-1)", "phi": "s-1"}),
-                 mk("M8", {"sigma": "t-2", "phi": "log(s)"}, {"C": 3.0})):
+    for spec in _ERROR_SPECS:
         for tol in (1e-9, 0.0):
             d = property_diagram(spec, "error", _ON_CENTRES, 32, tol=tol)
             assert d.cells == per_cell_diagram(spec, _ON_CENTRES, 32, tol), spec
+
+
+def test_property_diagram_fallback_matches_the_per_cell_loop(monkeypatch):
+    # a batch that decides nothing sends every covered cell through the
+    # fallback; the centres of 16 cells over this window are k/4, so the
+    # thresholds 2, 2.5 and 3 and the diagonal s = t fall on cell centres
+    monkeypatch.setattr(cea, "classify_tags", lambda entries, tol: [None] * len(entries))
+    window = (-0.125, 3.875, -0.125, 3.875)
+    specs = [mk(family, inst.get("functions"), inst.get("thresholds"))
+             for family in sorted(INSTANCES) for inst in INSTANCES[family]]
+    for spec in specs + list(_ERROR_SPECS):
+        for tol in (1e-9, 0.0, 1e-3):
+            d = property_diagram(spec, "E4", window, 16, tol=tol)
+            assert d.cells == per_cell_diagram(spec, window, 16, tol), (spec, tol)
 
 
 def test_diagram_csv_deterministic():

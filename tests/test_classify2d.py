@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import random
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -374,6 +375,21 @@ def test_rank1_closed_form_start_is_a_witness(monkeypatch):
             assert classify(A, cls.field).tag == cls.tag, (cls, A.entries)
 
 
+def test_rank1_starts_are_built_lazily(monkeypatch):
+    # the candidates after the one that passes are never built
+    import evoalg.classify2d as c2d
+
+    built = []
+    for name in ("_start_E1", "_start_E2", "_start_E3", "_start_E5_real"):
+        build = getattr(c2d, name)
+        monkeypatch.setattr(c2d, name, lambda *a, _n=name, _f=build: built.append(_n) or _f(*a))
+    assert classify(SM([[0, 2], [0, 3]]), "complex").tag == "E2"  # kappa > 0: E2 first
+    assert built == ["_start_E2"]
+    built.clear()
+    assert classify(SM([[1, 1], [-1, -1]]), "real").tag == "E3"  # kappa = 0: E3 first
+    assert built == ["_start_E3"]
+
+
 def test_classification_never_reaches_the_multi_start(monkeypatch):
     # classification tries closed-form witnesses only: every find_isomorphism
     # call it makes carries its start, on success or on failure
@@ -636,6 +652,54 @@ def test_classify_never_wrong_across_scales():
             except UnclassifiableError:
                 unclassifiable += 1
     assert unclassifiable > 0  # the envelope is real, and it fails loudly
+
+
+def _extreme_entry(rng, field):
+    if rng.random() < 0.25:
+        return 0.0
+    unit = (cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) if field == "complex"
+            else rng.choice((-1.0, 1.0)))
+    return unit * 10.0 ** rng.uniform(100.0, 300.0)
+
+
+def test_extreme_scales_raise_only_unclassifiable_or_value_errors():
+    # entries of modulus 1e100..1e300: a residual, a closed form or an entry
+    # modulus beyond float range leaves the input unclassifiable; before,
+    # about 3% of these inputs ended in an OverflowError
+    rng = random.Random(0)
+    classified = 0
+    for field in ("complex", "real"):
+        for _ in range(200):
+            rows = [[_extreme_entry(rng, field) for _ in range(2)] for _ in range(2)]
+            try:
+                classify_with_witness(SM(rows, field), field)
+                classified += 1
+            except (UnclassifiableError, ValueError):
+                pass
+    assert classified > 0
+
+
+@pytest.mark.parametrize("field, rows, tol", [
+    ("complex", [[1.7306051716204005e+130, -9.33441516249936e+149], [0, 0]], 1e-9),
+    ("real", [[1.7306051716204005e+130, -9.33441516249936e+149], [0, 0]], 1e-9),
+    ("complex", [[1.5e308 + 1.5e308j, 0], [0, 0]], 1e-9),  # |a11| overflows
+    ("complex", [[1e-289, 0], [1e31, 0]], 1e-9),  # kappa * sqrt(lam1*lam2) underflows to 0
+    ("real", [[0, -1e44], [0, 1e-239]], 1e-9),
+    ("complex", [[1e-170, 1], [1, 1e-170]], 0.0),  # a nonzero a11 whose square underflows
+])
+def test_out_of_range_inputs_are_unclassifiable(field, rows, tol):
+    with pytest.raises(UnclassifiableError):
+        classify_with_witness(SM(rows, field), field, tol=tol)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_overflowing_polish_warns_nothing(field):
+    # the polish from the closed-form start overflows inside numpy
+    rows = [[-3.3160722734604e+77, -9.889918091862919e+155], [0, 0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnclassifiableError):
+            classify_with_witness(SM(rows, field), field)
 
 
 # --- batched tags --------------------------------------------------------------

@@ -6,11 +6,13 @@ import math
 import pathlib
 import re
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evoalg import cli
 from evoalg.cli import main
 
 
@@ -62,6 +64,26 @@ def test_classify_unclassifiable(tmp_path, capsys):
     m = write_matrix(tmp_path, "m.txt", "2\n0+0i 3+0i\n1e-12+0i 0+0i\n")
     code, _, err = run(capsys, "classify", m)
     assert code == 2 and "unclassifiable" in err
+
+
+@pytest.mark.parametrize("field, text", [
+    ("complex", "1.7306051716204005e+130+0i -9.33441516249936e+149+0i\n0+0i 0+0i"),
+    ("real", "1.7306051716204005e+130+0i -9.33441516249936e+149+0i\n0+0i 0+0i"),
+    ("complex", "1.5e308+1.5e308i 0+0i\n0+0i 0+0i"),
+    ("real", "-3.3160722734604e+77+0i -9.889918091862919e+155+0i\n0+0i 0+0i"),
+], ids=["residual-complex", "residual-real", "entry-modulus", "polish-warning"])
+def test_classify_extreme_scale_exits_cleanly(tmp_path, capsys, field, text):
+    # an overflowing residual or entry modulus, or a polish that overflows
+    # inside numpy: one unclassifiable: line, no traceback and no warning
+    m = write_matrix(tmp_path, "m.txt", f"2\n{text}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "classify", m, "--field", field)
+    assert code == 2 and err.startswith("unclassifiable: ") and err.count("\n") == 1
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
 
 
 def test_cea_verify_pass_and_fail(tmp_path, capsys):
