@@ -40,7 +40,7 @@ import numpy as np
 from .core import COMPLEX, REAL, EvoalgError, StructureMatrix
 from .classify2d import (AlgebraClass, _mul2, canonical_matrix, classify, classify_tags,
                          homomorphism_residual)
-from .exprlang import Expr, eval_expr, parse_expr, to_string
+from .exprlang import Expr, compile_expr, eval_expr, parse_expr, to_string
 
 TimePair = tuple[float, float]
 
@@ -91,6 +91,8 @@ class ChainFamilySpec:
         for name, v in self.thresholds.items():
             if not v > 0:
                 raise ValueError(f"threshold {name} must be > 0, got {v}")
+        # each slot compiled once; the dataclass is frozen
+        self.__dict__["compiled"] = {k: compile_expr(e) for k, e in self.functions.items()}
 
     @staticmethod
     def make(family: str, functions: dict[str, str] | None = None,
@@ -100,7 +102,7 @@ class ChainFamilySpec:
         return ChainFamilySpec(family, fns, dict(thresholds or {}))
 
     def _eval(self, name: str, x: float) -> float:
-        v = eval_expr(self.functions[name], x, x)
+        v = self.compiled[name](x, x)
         if v == 0.0 and name in _FAMILY[self.family][2]:
             raise ConstraintViolation(
                 f"{name} != 0 violated: {name}={to_string(self.functions[name])!r} "
@@ -174,17 +176,19 @@ def _slot_values(spec: ChainFamilySpec, times):
     vals = {name: np.full(len(u), math.nan) for name in _FAMILY[spec.family][0]}
     done = {name: np.zeros(len(u), dtype=bool) for name in vals}
 
+    def value(name, x):
+        try:
+            return spec._eval(name, x)
+        except EvoalgError:
+            return math.nan
+
     def ev(name, x):
         i = np.searchsorted(u, x)
         asked = np.zeros(len(u), dtype=bool)
         asked[i] = True
         new = np.flatnonzero(asked & ~done[name])
         done[name][new] = True
-        for k, v in zip(new.tolist(), u[new].tolist()):
-            try:
-                vals[name][k] = spec._eval(name, v)
-            except EvoalgError:
-                pass
+        vals[name][new] = [value(name, v) for v in u[new].tolist()]
         return vals[name][i]
 
     return ev
@@ -239,13 +243,15 @@ def sample_triples(samples: int, seed: int, t_max: float = 10.0):
     if not (math.isfinite(t_max) and t_max >= 0.3):
         raise ValueError(f"t_max must be finite and >= 0.3, got {t_max!r}")
     eps = 1e-3
-    rng = random.Random(seed)
+    u = random.Random(seed).random
+    s_max, tau_max = t_max / 3.0, 2.0 * t_max / 3.0
     out = []
-    for _ in range(samples):
-        s = rng.uniform(0.1, t_max / 3.0)
-        tau = rng.uniform(s + eps, 2.0 * t_max / 3.0)
-        t = rng.uniform(tau + eps, t_max)
-        out.append((s, tau, t))
+    for _ in range(samples):  # rng.uniform(a, b) inlined: a + (b - a) * u()
+        s = 0.1 + (s_max - 0.1) * u()
+        a = s + eps
+        tau = a + (tau_max - a) * u()
+        a = tau + eps
+        out.append((s, tau, a + (t_max - a) * u()))
     return out
 
 

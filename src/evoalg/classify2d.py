@@ -338,8 +338,10 @@ INV_TOL = 1e-9  # residual bound on the inverse witness
 def _accepts(A, B, T) -> bool:
     # A near-singular T can sit within ISO_TOL of a genuine but non-invertible
     # homomorphism; demanding that the inverse map is a homomorphism as well
-    # rejects those (its residual blows up as 1/det).
-    if abs(_det2(T)) <= DET_TOL or homomorphism_residual(A, B, T) >= ISO_TOL:
+    # rejects those (its residual blows up as 1/det).  A determinant that
+    # overflowed is refused as well, since BasisChange would refuse it.
+    d = _det2(T)
+    if not cmath.isfinite(d) or abs(d) <= DET_TOL or homomorphism_residual(A, B, T) >= ISO_TOL:
         return False
     return homomorphism_residual(B, A, _inv2(T)) < INV_TOL
 

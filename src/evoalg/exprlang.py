@@ -284,6 +284,89 @@ def _eval(e: Expr, s: float, t: float) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def compile_expr(e: Expr):
+    """`e` built once into a callable (s, t) -> float, one closure per node.
+    For every input it returns the bits of `eval_expr(e, s, t)` or raises the
+    same DomainEvalError (message and sub-expression): `eval_expr` is the
+    oracle it is tested against."""
+    f = _compile(e)
+
+    def run(s, t):
+        v = f(s, t)
+        if not math.isfinite(v):
+            raise DomainEvalError("non-finite result", e)
+        return v
+
+    return run
+
+
+_CALLS = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
+          "sqrt": math.sqrt, "abs": abs}
+# the arguments a function refuses before it is called
+_OUTSIDE = {"log": (lambda x: x <= 0.0, "log of a nonpositive number"),
+            "sqrt": (lambda x: x < 0.0, "sqrt of a negative number")}
+
+
+def _compile(e: Expr):
+    """The closure of one node: `_eval`'s steps, in its order."""
+    if isinstance(e, Num):
+        v = e.value
+        return lambda s, t: v
+    if isinstance(e, Var):
+        return (lambda s, t: s) if e.name == "s" else (lambda s, t: t)
+    if isinstance(e, Neg):
+        f = _compile(e.arg)
+        return lambda s, t: -f(s, t)
+    if isinstance(e, Bin):
+        l, r = _compile(e.left), _compile(e.right)
+        if e.op == "+":
+            return lambda s, t: l(s, t) + r(s, t)
+        if e.op == "-":
+            return lambda s, t: l(s, t) - r(s, t)
+        if e.op == "*":
+            return lambda s, t: l(s, t) * r(s, t)
+        if e.op == "/":
+            def div(s, t):
+                a = l(s, t)
+                b = r(s, t)
+                if b == 0.0:
+                    raise DomainEvalError("division by zero", e)
+                return a / b
+
+            return div
+
+        def power(s, t):
+            a = l(s, t)
+            b = r(s, t)
+            if a == 0.0 and b < 0.0:
+                raise DomainEvalError("zero raised to a negative power", e)
+            if a < 0.0 and b % 1 != 0:
+                raise DomainEvalError("negative base with non-integer exponent", e)
+            try:
+                return float(a**b)
+            except OverflowError:
+                raise DomainEvalError("overflow", e) from None
+
+        return power
+    if isinstance(e, Call) and e.fn in _CALLS:
+        f, fn = _compile(e.arg), _CALLS[e.fn]
+        outside, message = _OUTSIDE.get(e.fn, (None, None))
+
+        def call(s, t):
+            x = f(s, t)
+            if outside is not None and outside(x):
+                raise DomainEvalError(message, e)
+            try:
+                return fn(x)
+            except OverflowError:
+                raise DomainEvalError("overflow", e) from None
+            except ValueError:  # sin or cos of an infinite argument
+                raise DomainEvalError("infinite argument", e) from None
+
+        return call
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 

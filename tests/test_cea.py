@@ -411,6 +411,29 @@ def test_property_diagram_fallback_matches_the_per_cell_loop(monkeypatch):
             assert d.cells == per_cell_diagram(spec, window, 16, tol), (spec, tol)
 
 
+def test_chain_slots_run_compiled(monkeypatch):
+    # with the tree-walking evaluator disabled, every report and cell is the
+    # same: chain evaluation goes through each spec's compiled slots
+    import evoalg.exprlang as exprlang
+
+    specs = [mk(family, inst.get("functions"), inst.get("thresholds"))
+             for family in ("M1", "M2", "M5") for inst in INSTANCES[family]]
+
+    def run():
+        return [(verify_ck(spec, 500, 3), property_diagram(spec, "E4", _ON_CENTRES, 32).cells)
+                for spec in specs]
+
+    want = run()
+
+    def no_tree_walk(*args):
+        raise AssertionError("a chain slot walked the expression tree")
+
+    monkeypatch.setattr(exprlang, "_eval", no_tree_walk)
+    with pytest.raises(AssertionError):
+        exprlang.eval_expr(specs[0].functions["rho"], 1.0, 1.0)
+    assert run() == want
+
+
 def test_diagram_csv_deterministic():
     spec = mk("M5", {"Phi": "exp(t)"}, {"C": 2.0})
     d1 = property_diagram(spec, "E4", (0, 4, 0, 4), 16)
@@ -450,6 +473,20 @@ def test_t_max_below_the_range_of_s_is_refused(t_max, tmp_path):
     with pytest.raises(EvoalgError, match="t_max"):
         load_config(p)
     assert all(0 < s < tau < t <= 0.3 for s, tau, t in sample_triples(200, 1, 0.3))
+
+
+@pytest.mark.parametrize("t_max", [0.3, 10.0, 1e6])
+def test_sample_triples_are_the_uniform_draws(t_max):
+    # the inlined draws give rng.uniform's triples, bit for bit
+    for seed in range(5):
+        rng = random.Random(seed)
+        want = []
+        for _ in range(300):
+            s = rng.uniform(0.1, t_max / 3.0)
+            tau = rng.uniform(s + 1e-3, 2.0 * t_max / 3.0)
+            want.append((s, tau, rng.uniform(tau + 1e-3, t_max)))
+        got = sample_triples(300, seed, t_max)
+        assert [tuple(map(float.hex, x)) for x in got] == [tuple(map(float.hex, x)) for x in want]
 
 
 def test_load_config_errors(tmp_path):

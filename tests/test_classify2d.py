@@ -692,6 +692,23 @@ def test_out_of_range_inputs_are_unclassifiable(field, rows, tol):
         classify_with_witness(SM(rows, field), field, tol=tol)
 
 
+@pytest.mark.parametrize("field, rows", [
+    ("complex", [[1e155, 1], [2, 1e155]]),
+    ("real", [[1e155, 1], [2, 1e155]]),
+    ("complex", [[1e154 + 1e154j, 0], [0, 1e154 + 1e154j]]),
+])
+def test_overflowing_determinant_is_no_witness(field, rows):
+    # a start whose determinant overflowed to inf passed the check, and
+    # BasisChange then refused it with ValueError: an input error for a
+    # valid matrix.  Now the input is unclassifiable or has a verified class
+    A = SM(rows, field)
+    try:
+        cls, w = classify_with_witness(A, field)
+    except UnclassifiableError:
+        return
+    assert homomorphism_residual(A, canonical_matrix(cls), w.entries) < 1e-18
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_overflowing_polish_warns_nothing(field):
     # the polish from the closed-form start overflows inside numpy

@@ -82,6 +82,16 @@ def test_classify_extreme_scale_exits_cleanly(tmp_path, capsys, field, text):
     assert code == 2 and err.startswith("unclassifiable: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["1e155+0i 1+0i\n2+0i 1e155+0i",
+                                  "1e154+1e154i 0+0i\n0+0i 1e154+1e154i"])
+def test_classify_overflowing_determinant_is_no_input_error(tmp_path, capsys, text):
+    # the start's determinant overflows to inf: unclassifiable (exit 2) or a
+    # verified class, never the exit 1 of a malformed input
+    m = write_matrix(tmp_path, "m.txt", f"2\n{text}\n")
+    code, out, err = run(capsys, "classify", m)
+    assert (code, err.split(":")[0]) == (2, "unclassifiable") or (code == 0 and "class:" in out)
+
+
 def test_parser_is_built_once():
     assert cli._parser() is cli._parser()
 

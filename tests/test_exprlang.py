@@ -17,6 +17,7 @@ from evoalg.exprlang import (
     Num,
     UnknownIdentifierError,
     Var,
+    compile_expr,
     eval_expr,
     parse_expr,
     to_string,
@@ -170,6 +171,57 @@ def test_roundtrip_hypothesis(e, s, t):
     except DomainEvalError:
         return
     assert eval_expr(back, s, t) == want
+
+
+def _outcome(run, s, t):
+    """The value's bits, or the exception's type, message and sub-expression."""
+    try:
+        v = run(s, t)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "subexpr", None)
+    return type(v), v.hex()
+
+
+# every float: zero of both signs, negative, tiny and huge values, inf and NaN
+_ANY_POINT = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1e-308, 1e308, -1e308]), st.floats())
+
+
+@given(_TREES, _ANY_POINT, _ANY_POINT)
+@settings(max_examples=500, deadline=None)
+def test_compiled_matches_the_oracle_hypothesis(e, s, t):
+    assert _outcome(compile_expr(e), s, t) == _outcome(lambda s, t: eval_expr(e, s, t), s, t)
+
+
+@pytest.mark.parametrize("text, s, t, message", [
+    ("1/s", 0.0, 1.0, "division by zero"),
+    ("1+2*(t/(s-s))", 3.0, 1.0, "division by zero"),
+    ("s^(0-1)", 0.0, 1.0, "zero raised to a negative power"),
+    ("s^0.5", -2.0, 1.0, "negative base with non-integer exponent"),
+    ("(0-1)^s", math.inf, 1.0, "negative base with non-integer exponent"),
+    ("s^t", 10.0, 400.0, "overflow"),
+    ("(0-s)^t", 10.0, 401.0, "overflow"),
+    ("exp(s)", 1000.0, 1.0, "overflow"),
+    ("log(s)", 0.0, 1.0, "log of a nonpositive number"),
+    ("2*log(s-1)", 0.5, 1.0, "log of a nonpositive number"),
+    ("sqrt(s)", -1.0, 1.0, "sqrt of a negative number"),
+    ("sin(s*t)", 1e200, 1e200, "infinite argument"),
+    ("cos(s)", -math.inf, 1.0, "infinite argument"),
+    ("s*t", 1e200, 1e200, "non-finite result"),
+    ("s-t", math.inf, math.inf, "non-finite result"),
+    ("log(s)+1/t", 0.0, 0.0, "log of a nonpositive number"),  # the left error first
+])
+def test_compiled_domain_errors_match_the_oracle(text, s, t, message):
+    e = parse_expr(text)
+    with pytest.raises(DomainEvalError, match=f"^{message} in ") as want:
+        eval_expr(e, s, t)
+    with pytest.raises(DomainEvalError) as got:
+        compile_expr(e)(s, t)
+    assert str(got.value) == str(want.value) and got.value.subexpr == want.value.subexpr
+
+
+def test_compile_refuses_an_unknown_node():
+    with pytest.raises(TypeError):
+        compile_expr(Call("tan", Var("s")))
 
 
 def test_fuzz_never_crashes():
