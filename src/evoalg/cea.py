@@ -248,10 +248,10 @@ def sample_triples(samples: int, seed: int, t_max: float = 10.0):
     out = []
     for _ in range(samples):  # rng.uniform(a, b) inlined: a + (b - a) * u()
         s = 0.1 + (s_max - 0.1) * u()
-        a = s + eps
-        tau = a + (tau_max - a) * u()
-        a = tau + eps
-        out.append((s, tau, a + (t_max - a) * u()))
+        lo = s + eps
+        tau = lo + (tau_max - lo) * u()
+        lo = tau + eps
+        out.append((s, tau, lo + (t_max - lo) * u()))
     return out
 
 
