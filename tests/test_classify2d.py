@@ -550,6 +550,56 @@ def test_basis_change_rejects_singular():
     BasisChange(((1e-7, 0), (0, 1e-7)))
 
 
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build, message", [
+    # StructureMatrix: each fault alone
+    (lambda: StructureMatrix(()), "dimension must be >= 1"),
+    (lambda: SM([[1, 2], [3]]), "structure matrix must be square"),
+    (lambda: SM([[1, 2, 3], [3, 4]]), "structure matrix must be square"),
+    (lambda: SM([[_NAN, 0], [0, 0]]), "non-finite matrix entry: (nan+0j)"),
+    (lambda: SM([[0, 0], [0, -_INF]]), "non-finite matrix entry: (-inf+0j)"),
+    (lambda: SM([[0, complex(1, _INF)], [0, 0]]), "non-finite matrix entry: (1+infj)"),
+    (lambda: SM([[0, 0], [1j, 0]], "real"), "real-mode matrix has a nonzero imaginary part"),
+    (lambda: SM([[1, 0], [0, 0]], "quaternion"), "unknown field mode 'quaternion'"),
+    (lambda: SM([[0, "x"], [0, 0]]), "complex() arg is a malformed string"),
+    # StructureMatrix: which fault wins
+    (lambda: SM([[_NAN, 0], [1]]), "structure matrix must be square"),
+    (lambda: SM([[1], [0, 0]], "quaternion"), "structure matrix must be square"),
+    (lambda: SM([[_NAN, 0], [0, 0]], "quaternion"), "unknown field mode 'quaternion'"),
+    (lambda: SM([[1j, _NAN], [0, 0]], "real"), "real-mode matrix has a nonzero imaginary part"),
+    (lambda: SM([[_NAN, 1j], [0, 0]], "real"), "non-finite matrix entry: (nan+0j)"),
+    (lambda: SM([[0, 0], [1j, _INF]], "real"), "real-mode matrix has a nonzero imaginary part"),
+    # AlgebraClass
+    (lambda: AlgebraClass("complex", "E7"), "invalid class 'E7' for field 'complex'"),
+    (lambda: AlgebraClass("real", "E8"), "invalid class 'E8' for field 'real'"),
+    (lambda: AlgebraClass("quaternion", "E1"), "invalid class 'E1' for field 'quaternion'"),
+    (lambda: AlgebraClass("real", "E6", (1,)), "E6 (real) takes 2 parameters, got 1"),
+    (lambda: AlgebraClass("complex", "E1", (1,)), "E1 (complex) takes 0 parameters, got 1"),
+    (lambda: AlgebraClass("complex", "E5", (2, 0.5)),
+     "E5(2, 0.5) (complex) is degenerate: 1 - p0*p1 = 0"),
+    (lambda: AlgebraClass("real", "E6", (4, 0.25)),
+     "E6(4, 0.25) (real) is degenerate: 1 - p0*p1 = 0"),
+    (lambda: AlgebraClass("complex", "E7", (1,)), "invalid class 'E7' for field 'complex'"),
+    (lambda: AlgebraClass("real", "E6", (_NAN,)), "E6 (real) takes 2 parameters, got 1"),
+    # BasisChange
+    (lambda: BasisChange(((1, 2), (2, 4))),
+     "basis change is singular within relative 1e-12: det=0j"),
+    (lambda: BasisChange(((_NAN, 0), (0, 1))),
+     "basis change is singular within relative 1e-12: det=(nan+nanj)"),
+    (lambda: BasisChange(((1e200, 1), (1, 1e200))),
+     "basis change is singular within relative 1e-12: det=(inf+0j)"),
+])
+def test_validator_errors_are_pinned(build, message):
+    # each validator's error type and message, and which fault wins when
+    # several apply
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("field, rows", [
     ("complex", [[0, 1e12], [0, 0]]), ("real", [[0, 1e12], [0, 0]]),
     ("complex", [[0, 1e300], [0, 0]]), ("real", [[0, 1e300], [0, 0]]),
