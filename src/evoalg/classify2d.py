@@ -18,10 +18,14 @@ kappa = w.diag(lam).w and lam1*lam2 order the candidates E1, E2, E3 (and the
 real E5) and give each its basis change.  A rank-2 matrix has E5/E6 parameters
 x = a12*a22/a11^2, y = a21*a11/a22^2 when its diagonal is nonzero, and its
 E6/E7 parameter through cube roots of the off-diagonal product otherwise.
-One generator per rank yields these candidates (tag, params, start) in
-order, and one loop in classify_with_witness passes each to
+One generator per rank yields these candidates (tag, params, B, start) in
+order, B the canonical matrix to check against: the rank-1 targets are
+built once at import, and a rank-2 target is built per candidate from its
+parameters.  One loop in classify_with_witness passes each candidate to
 find_isomorphism, the one check-and-polish step: the start is accepted as a
-witness as it stands, or after a single Levenberg-Marquardt polish from it.
+witness as it stands, checked on plain rows of complex numbers, or after a
+single Levenberg-Marquardt polish from it, the only step that runs through
+numpy.  The validated class and witness are built once, for the answer.
 No other start is tried, so an input whose closed-form witnesses all fail is
 unclassifiable, as is one whose arithmetic leaves the float range.  The reported
 parameters are the closed-form ones the witness was checked against.
@@ -56,6 +60,13 @@ class UnclassifiableError(EvoalgError):
     """No candidate canonical form matched within the search budget."""
 
 
+# {field: {tag: number of parameters}}: the valid classes of each field
+_N_PARAMS = {
+    REAL: {"E0": 0, "E1": 0, "E2": 0, "E3": 0, "E4": 0, "E5": 0, "E6": 2, "E7": 1},
+    COMPLEX: {"E0": 0, "E1": 0, "E2": 0, "E3": 0, "E4": 0, "E5": 2, "E6": 1},
+}
+
+
 @dataclass(frozen=True)
 class AlgebraClass:
     """Canonical-form label: field mode, tag E0..E7, continuous parameters."""
@@ -65,31 +76,39 @@ class AlgebraClass:
     params: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        tags = ("E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7")
-        limit = 8 if self.field == REAL else 7
-        if self.field not in (REAL, COMPLEX) or self.tag not in tags[:limit]:
-            raise ValueError(f"invalid class {self.tag!r} for field {self.field!r}")
-        object.__setattr__(self, "params", tuple(complex(p) for p in self.params))
-        if len(self.params) != n_params(self.field, self.tag):
-            raise ValueError(
-                f"{self.tag} ({self.field}) takes {n_params(self.field, self.tag)} "
-                f"parameters, got {len(self.params)}"
-            )
-        # [[1, p0], [p1, 1]] has determinant 1 - p0*p1; at 0 it is not rank 2
-        if (self.tag == ("E5" if self.field == COMPLEX else "E6")
-                and 1 - self.params[0] * self.params[1] == 0):
-            raise ValueError(f"{self.label()} ({self.field}) is degenerate: 1 - p0*p1 = 0")
+        try:
+            n = _N_PARAMS[self.field][self.tag]
+        except (KeyError, TypeError):
+            raise ValueError(f"invalid class {self.tag!r} for field {self.field!r}") from None
+        params = tuple(map(complex, self.params))
+        object.__setattr__(self, "params", params)
+        if len(params) != n:
+            raise ValueError(f"{self.tag} ({self.field}) takes {n} parameters, got {len(params)}")
+        _check_params(self.field, self.tag, params)
 
     def label(self) -> str:
-        if not self.params:
-            return self.tag
-        return f"{self.tag}({', '.join(_fmt_scalar(p) for p in self.params)})"
+        return _label(self.tag, self.params)
+
+
+def _check_params(field: str, tag: str, params) -> None:
+    """Raise ValueError unless the complex parameters, as many as the class
+    takes, name a class: they are finite, and 1 - p0*p1 is not 0."""
+    if not all(map(cmath.isfinite, params)):
+        raise ValueError(f"{tag} ({field}) has a non-finite parameter: {params}")
+    # [[1, p0], [p1, 1]] has determinant 1 - p0*p1; at 0 it is not rank 2
+    if len(params) == 2 and 1 - params[0] * params[1] == 0:
+        raise ValueError(f"{_label(tag, params)} ({field}) is degenerate: 1 - p0*p1 = 0")
+
+
+def _label(tag: str, params) -> str:
+    if not params:
+        return tag
+    return f"{tag}({', '.join(_fmt_scalar(p) for p in params)})"
 
 
 def n_params(field: str, tag: str) -> int:
-    if field == REAL:
-        return {"E6": 2, "E7": 1}.get(tag, 0)
-    return {"E5": 2, "E6": 1}.get(tag, 0)
+    """The number of parameters of a valid class."""
+    return _N_PARAMS[field][tag]
 
 
 def _fmt_scalar(z: complex) -> str:
@@ -138,13 +157,15 @@ class BasisChange:
     entries: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __post_init__(self):
-        rows = tuple(tuple(complex(z) for z in r) for r in self.entries)
+        rows = tuple(tuple(map(complex, r)) for r in self.entries)
         object.__setattr__(self, "entries", rows)
         # relative to the products that make up det, so the test does not
         # depend on scale; a NaN determinant fails it too
         (a, b), (c, d) = rows
-        if not abs(self.det) > DET_TOL * (abs(a * d) + abs(b * c)):
-            raise ValueError(f"basis change is singular within relative {DET_TOL}: det={self.det}")
+        ad, bc = a * d, b * c
+        det = ad - bc
+        if not abs(det) > DET_TOL * (abs(ad) + abs(bc)):
+            raise ValueError(f"basis change is singular within relative {DET_TOL}: det={det}")
 
     @property
     def det(self) -> complex:
@@ -161,6 +182,9 @@ class E4Shape:
     entry: complex | None = None
 
 
+_NOT_E4 = E4Shape(False)
+
+
 def is_E4_shape(A: StructureMatrix, tol: float = DEFAULT_TOL) -> E4Shape:
     """Exact E4 criterion: the matrix is [[0,b],[0,0]] or [[0,0],[c,0]] with
     the designated off-diagonal entry larger than tol.  The pattern zeros are
@@ -172,7 +196,7 @@ def is_E4_shape(A: StructureMatrix, tol: float = DEFAULT_TOL) -> E4Shape:
         return E4Shape(True, "upper", b)
     if a == 0 and b == 0 and d == 0 and abs(c) > tol:
         return E4Shape(True, "lower", c)
-    return E4Shape(False)
+    return _NOT_E4
 
 
 def rescale_permute(A: StructureMatrix, scales, perm=(0, 1)) -> StructureMatrix:
@@ -198,21 +222,23 @@ def _hom_components(a, b, t) -> list[complex]:
     """The six complex components g(e_i e_j) - g(e_i) *_B g(e_j) over pairs
     (1,1), (2,2), (1,2), where g maps A's basis by the rows of T; a, b and t
     are the entry rows of A, B and T (scalars, or arrays of lanes)."""
+    (t00, t01), (t10, t11) = t
+    (b00, b01), (b10, b11) = b
     out = []
-    for i in (0, 1):
-        for k in (0, 1):
-            img = a[i][0] * t[0][k] + a[i][1] * t[1][k]
-            prod = t[i][0] * t[i][0] * b[0][k] + t[i][1] * t[i][1] * b[1][k]
-            out.append(img - prod)
-    for k in (0, 1):
-        out.append(-(t[0][0] * t[1][0] * b[0][k] + t[0][1] * t[1][1] * b[1][k]))
+    for (a0, a1), (u0, u1) in zip(a, t):  # row i of A and of T
+        s0, s1 = u0 * u0, u1 * u1
+        out.append(a0 * t00 + a1 * t10 - (s0 * b00 + s1 * b10))
+        out.append(a0 * t01 + a1 * t11 - (s0 * b01 + s1 * b11))
+    p0, p1 = t00 * t10, t01 * t11
+    out.append(-(p0 * b00 + p1 * b10))
+    out.append(-(p0 * b01 + p1 * b11))
     return out
 
 
 def homomorphism_residual(A: StructureMatrix, B: StructureMatrix, T) -> float:
     """Sum over basis pairs i <= j of |g(e_i e_j) - g(e_i) g(e_j)|^2."""
     entries = T.entries if isinstance(T, BasisChange) else T
-    return sum(abs(z) ** 2 for z in _hom_components(A.entries, B.entries, entries))
+    return sum([abs(z) ** 2 for z in _hom_components(A.entries, B.entries, entries)])
 
 
 def _det2(t) -> complex:
@@ -237,6 +263,11 @@ def _mul2(s, t):
 
 
 # --- isomorphism check and polish --------------------------------------------
+
+
+def _real_entry(z) -> complex:
+    # the imaginary part dropped as numpy's x.real and astype(complex) do
+    return complex(z.real)
 
 
 def _pack(T, complex_mode: bool) -> np.ndarray:
@@ -292,8 +323,10 @@ def find_isomorphism(A: StructureMatrix, B: StructureMatrix, start=None):
     """An algebra isomorphism from A onto B, or None.
 
     With a start (a 2x2 basis change, row i the image of e_i), the start is
-    accepted as it stands when it passes the witness check; otherwise one
-    Levenberg-Marquardt polish runs from it and the result is checked again.
+    accepted as it stands when it passes the witness check, which runs on
+    plain rows of complex numbers (in real mode their imaginary parts are
+    dropped); otherwise one Levenberg-Marquardt polish runs from it, the
+    only step that goes through numpy, and the result is checked again.
     The polish minimizes the homomorphism residual alone; the check's
     determinant test rejects a result that ends near a singular map.
     Without a start, A and B are classified with their witnesses, and the
@@ -319,15 +352,16 @@ def find_isomorphism(A: StructureMatrix, B: StructureMatrix, start=None):
             start = tuple(tuple(z / (p * s - q * r) for z in row)
                           for row in _mul2(w_a.entries, ((s, -q), (-r, p))))
 
-    x0 = _pack(start, complex_mode)
-    T = _unpack(x0, complex_mode)
+    (a, b), (c, d) = start
+    entry = complex if complex_mode else _real_entry
+    T = ((entry(a), entry(b)), (entry(c), entry(d)))
     if _accepts(A, B, T):
         return BasisChange(T)
     with np.errstate(all="ignore"):  # a polish that overflows is rejected below
         x, _, _ = levenberg_marquardt(
             lambda x: _residual_vec(A, B, _unpack(x, complex_mode), complex_mode),
             lambda x: _jacobian_vec(A, B, _unpack(x, complex_mode), complex_mode),
-            x0, stop_norm=math.sqrt(ISO_TOL / 12.0) * 0.5)
+            _pack(T, complex_mode), stop_norm=math.sqrt(ISO_TOL / 12.0) * 0.5)
     T = _unpack(x, complex_mode)
     return BasisChange(T) if _accepts(A, B, T) else None
 
@@ -343,7 +377,7 @@ def _accepts(A, B, T) -> bool:
     d = _det2(T)
     if not cmath.isfinite(d) or abs(d) <= DET_TOL or homomorphism_residual(A, B, T) >= ISO_TOL:
         return False
-    return homomorphism_residual(B, A, _inv2(T)) < INV_TOL
+    return homomorphism_residual(B, A, _inv_rows(T, d)) < INV_TOL
 
 
 # --- rank-1 invariants and closed-form starting points -------------------------
@@ -353,7 +387,7 @@ def _rank1_data(A: StructureMatrix, eps: float):
     """Write row_i = lam_i * w for a rank-1 matrix; returns (w, lam).  eps
     bounds the defect of the factorization (tol times the entry scale)."""
     r = A.entries
-    norms = [max(abs(z) for z in row) for row in r]
+    norms = [max(map(abs, row)) for row in r]
     p = 0 if norms[0] >= norms[1] else 1
     q = 1 - p
     w = r[p]
@@ -377,7 +411,7 @@ def _safe_inv_start(S):
     d = _det2(S)
     if not cmath.isfinite(d) or abs(d) < 1e-150:
         return None
-    inv = _inv2(S)
+    inv = _inv_rows(S, d)
     return inv if all(cmath.isfinite(z) for row in inv for z in row) else None
 
 
@@ -452,7 +486,8 @@ def classify_with_witness(A: StructureMatrix, field: str | None = None, *,
     if not tol >= 0:  # NaN fails this too
         raise ValueError(f"tolerance must be non-negative, got {tol!r}")
     field = field or A.field
-    if field == REAL and any(z.imag != 0 for row in A.entries for z in row):
+    if (field == REAL and A.field != REAL
+            and any(z.imag != 0 for row in A.entries for z in row)):
         raise ValueError("cannot classify a genuinely complex matrix in real mode")
     if A.field != field:
         A = StructureMatrix(A.entries, field)
@@ -467,11 +502,7 @@ def classify_with_witness(A: StructureMatrix, field: str | None = None, *,
         scale = max(1.0, m)
         rank = 2 if abs(_det2(A.entries)) > tol * scale * scale else 1
         candidates = _rank2_candidates if rank == 2 else _rank1_candidates
-        for tag, params, start in candidates(A, field, tol, scale):
-            try:
-                B = canonical_matrix(AlgebraClass(field, tag, params))
-            except ValueError:  # 1 - xy = 0: no rank-2 class to verify
-                continue
+        for tag, params, B, start in candidates(A, field, tol, scale):
             try:
                 witness = find_isomorphism(A, B, start)
             except OverflowError:  # a residual beyond float range is no witness
@@ -487,10 +518,16 @@ def classify_with_witness(A: StructureMatrix, field: str | None = None, *,
         "the input is numerically degenerate" + (" (e.g. 1 - a2*a3 near 0)" if rank == 2 else ""))
 
 
+# the canonical matrices of the rank-1 classes, built once
+_RANK1_TARGETS = {(field, tag): StructureMatrix(canonical_rows(field, tag), field)
+                  for field in (COMPLEX, REAL) for tag in ("E1", "E2", "E3")}
+_RANK1_TARGETS[REAL, "E5"] = StructureMatrix(canonical_rows(REAL, "E5"), REAL)
+
+
 def _rank1_candidates(A, field, tol, scale):
-    """(tag, (), start) for the rank-1 forms, in the order kappa and
-    lam1*lam2 give them; each start is built only once the ones before it
-    have failed."""
+    """(tag, (), B, start) for the rank-1 forms, B the canonical matrix, in
+    the order kappa and lam1*lam2 give them; each start is built only once
+    the ones before it have failed."""
     w, lam = _rank1_data(A, tol * scale)
     kappa = w[0] * w[0] * lam[0] + w[1] * w[1] * lam[1]
     ll = lam[0] * lam[1]
@@ -502,24 +539,27 @@ def _rank1_candidates(A, field, tol, scale):
         order = ("E2", "E5", "E1", "E3")
     else:
         order = ("E5", "E2", "E1", "E3")
-    builders = {
-        "E1": lambda: _start_E1(w, lam, kappa, tol),
-        "E2": lambda: _start_E2(w, lam, kappa, field == REAL),
-        "E3": lambda: _start_E3(w, lam),
-        "E5": lambda: _start_E5_real(w, lam, kappa),
-    }
     for tag in order:
-        if tag == "E5" and field == COMPLEX:  # the real form with lam1*lam2 < 0
+        if tag == "E1":
+            start = _start_E1(w, lam, kappa, tol)
+        elif tag == "E2":
+            start = _start_E2(w, lam, kappa, field == REAL)
+        elif tag == "E3":
+            start = _start_E3(w, lam)
+        elif field == REAL:  # the real E5, with lam1*lam2 < 0
+            start = _start_E5_real(w, lam, kappa)
+        else:
             continue
-        start = builders[tag]()
         if start is not None:
-            yield tag, (), start
+            yield tag, (), _RANK1_TARGETS[field, tag], start
 
 
 def _rank2_candidates(A, field, tol, scale):
-    """(tag, params, start) for each parameter equivalent of a rank-2 matrix,
-    the lexicographically smallest parameters first.  The witness is checked
-    against B(params), so it verifies the closed-form parameters themselves."""
+    """(tag, params, B, start) for each parameter equivalent of a rank-2
+    matrix, the lexicographically smallest parameters first, B the canonical
+    matrix of the class.  The witness is checked against B, so it verifies
+    the closed-form parameters themselves.  Parameters that name no class
+    (non-finite, or 1 - xy = 0) are skipped."""
     (a11, a12), (a21, a22) = A.entries
     eps = tol * scale
     if abs(a11) > eps and abs(a22) > eps:
@@ -540,7 +580,12 @@ def _rank2_candidates(A, field, tol, scale):
                 reps.append(((d2 * diag,), inv))
     key = lambda rep: tuple(v for z in rep[0] for v in _lex_key(z))
     for params, start in sorted(reps, key=key):
-        yield tag, params, start
+        try:
+            _check_params(field, tag, params)
+            B = StructureMatrix(canonical_rows(field, tag, params), field)
+        except ValueError:  # the parameters name no class
+            continue
+        yield tag, params, B, start
 
 
 def _cube_roots(z: complex, field: str):

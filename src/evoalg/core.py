@@ -53,29 +53,37 @@ class StructureMatrix:
     field: str = COMPLEX
 
     def __post_init__(self):
+        # one pass; a shape fault wins over a field fault, which wins over
+        # the first faulty entry in row-major order
         n = len(self.entries)
         if n < 1:
             raise ValueError("dimension must be >= 1")
+        real = self.field == REAL
+        fault = None if real or self.field == COMPLEX else f"unknown field mode {self.field!r}"
         rows = []
         for row in self.entries:
             if len(row) != n:
                 raise ValueError("structure matrix must be square")
-            rows.append(tuple(complex(z) for z in row))
+            row = tuple(map(complex, row))
+            rows.append(row)
+            if fault is None:
+                for z in row:
+                    if not cmath.isfinite(z):
+                        fault = f"non-finite matrix entry: {z!r}"
+                        break
+                    if real and z.imag != 0.0:
+                        fault = "real-mode matrix has a nonzero imaginary part"
+                        break
         object.__setattr__(self, "entries", tuple(rows))
-        if self.field not in (REAL, COMPLEX):
-            raise ValueError(f"unknown field mode {self.field!r}")
-        for row in self.entries:
-            for z in row:
-                _check_finite(z, "matrix entry")
-                if self.field == REAL and z.imag != 0.0:
-                    raise ValueError("real-mode matrix has a nonzero imaginary part")
+        if fault is not None:
+            raise ValueError(fault)
 
     @property
     def dim(self) -> int:
         return len(self.entries)
 
     def maxabs(self) -> float:
-        return max(abs(z) for row in self.entries for z in row)
+        return max([abs(z) for row in self.entries for z in row])
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.maxabs() <= tol
@@ -86,7 +94,7 @@ class StructureMatrix:
 
     @staticmethod
     def from_rows(rows, field: str = COMPLEX) -> "StructureMatrix":
-        return StructureMatrix(tuple(tuple(row) for row in rows), field)
+        return StructureMatrix(tuple(map(tuple, rows)), field)
 
 
 @dataclass(frozen=True)

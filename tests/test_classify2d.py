@@ -396,10 +396,12 @@ def test_classification_never_reaches_the_multi_start(monkeypatch):
     import evoalg.classify2d as c2d
 
     check_and_polish = c2d.find_isomorphism
+    calls = []
 
     def no_multi_start(A, B, start=None):
         if start is None:
             raise AssertionError("classification called find_isomorphism without a start")
+        calls.append(start)
         return check_and_polish(A, B, start)
 
     monkeypatch.setattr(c2d, "find_isomorphism", no_multi_start)
@@ -415,8 +417,12 @@ def test_classification_never_reaches_the_multi_start(monkeypatch):
         AlgebraClass("real", "E7", (0,)),
     ]
     for cls in pool:
+        calls.clear()
         for A in _canonical_orbit(cls, rng):
             assert classify(A, cls.field).tag == cls.tag, (cls, A.entries)
+        # the exact E0 and E4 decisions need no witness check; every other
+        # class is reached through the check-and-polish step
+        assert (len(calls) == 0) == (cls.tag in ("E0", "E4")), (cls, len(calls))
     # near-degenerate inputs, among them the two kinds of the classify-edge
     # benchmark: a stray lower entry over C and a stray diagonal entry over R
     for rows, field in (([[0, 3], [1e-12, 0]], "complex"),
@@ -548,6 +554,19 @@ def test_basis_change_rejects_singular():
     with pytest.raises(ValueError):
         BasisChange(((1e20, 1e20), (1e20, 1e20 * (1 + 1e-15))))
     BasisChange(((1e-7, 0), (0, 1e-7)))
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, complex(0, math.inf),
+                               complex(math.nan, 1)])
+def test_algebra_class_rejects_non_finite_parameters(p):
+    # label() could not print them: int(nan) and int(inf) raise
+    for field, tag, params in (("complex", "E6", (p,)), ("complex", "E5", (p, 0.5)),
+                               ("real", "E7", (p,)), ("real", "E6", (0.5, p))):
+        with pytest.raises(ValueError) as err:
+            AlgebraClass(field, tag, params)
+        assert str(err.value) == (f"{tag} ({field}) has a non-finite parameter: "
+                                  f"{tuple(complex(z) for z in params)}")
+    assert AlgebraClass("complex", "E6", (1e308,)).label() == "E6(1e+308)"
 
 
 _NAN, _INF = math.nan, math.inf
