@@ -25,7 +25,8 @@ parameters.  One loop in classify_with_witness passes each candidate to
 find_isomorphism, the one check-and-polish step: the start is accepted as a
 witness as it stands, checked on plain rows of complex numbers, or after a
 single Levenberg-Marquardt polish from it, the only step that runs through
-numpy.  The validated class and witness are built once, for the answer.
+numpy.  The answer's validated class (prebuilt when it has no parameters)
+and witness are built once.
 No other start is tried, so an input whose closed-form witnesses all fail is
 unclassifiable, as is one whose arithmetic leaves the float range.  The reported
 parameters are the closed-form ones the witness was checked against.
@@ -157,7 +158,7 @@ class BasisChange:
     entries: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __post_init__(self):
-        rows = tuple(tuple(map(complex, r)) for r in self.entries)
+        rows = tuple([tuple(map(complex, r)) for r in self.entries])
         object.__setattr__(self, "entries", rows)
         # relative to the products that make up det, so the test does not
         # depend on scale; a NaN determinant fails it too
@@ -222,23 +223,27 @@ def _hom_components(a, b, t) -> list[complex]:
     """The six complex components g(e_i e_j) - g(e_i) *_B g(e_j) over pairs
     (1,1), (2,2), (1,2), where g maps A's basis by the rows of T; a, b and t
     are the entry rows of A, B and T (scalars, or arrays of lanes)."""
-    (t00, t01), (t10, t11) = t
+    (a00, a01), (a10, a11) = a
     (b00, b01), (b10, b11) = b
-    out = []
-    for (a0, a1), (u0, u1) in zip(a, t):  # row i of A and of T
-        s0, s1 = u0 * u0, u1 * u1
-        out.append(a0 * t00 + a1 * t10 - (s0 * b00 + s1 * b10))
-        out.append(a0 * t01 + a1 * t11 - (s0 * b01 + s1 * b11))
+    (t00, t01), (t10, t11) = t
+    s00, s01, s10, s11 = t00 * t00, t01 * t01, t10 * t10, t11 * t11
     p0, p1 = t00 * t10, t01 * t11
-    out.append(-(p0 * b00 + p1 * b10))
-    out.append(-(p0 * b01 + p1 * b11))
-    return out
+    return [a00 * t00 + a01 * t10 - (s00 * b00 + s01 * b10),
+            a00 * t01 + a01 * t11 - (s00 * b01 + s01 * b11),
+            a10 * t00 + a11 * t10 - (s10 * b00 + s11 * b10),
+            a10 * t01 + a11 * t11 - (s10 * b01 + s11 * b11),
+            -(p0 * b00 + p1 * b10),
+            -(p0 * b01 + p1 * b11)]
 
 
 def homomorphism_residual(A: StructureMatrix, B: StructureMatrix, T) -> float:
     """Sum over basis pairs i <= j of |g(e_i e_j) - g(e_i) g(e_j)|^2."""
-    entries = T.entries if isinstance(T, BasisChange) else T
-    return sum([abs(z) ** 2 for z in _hom_components(A.entries, B.entries, entries)])
+    return _residual(A.entries, B.entries, T.entries if isinstance(T, BasisChange) else T)
+
+
+def _residual(a, b, t) -> float:
+    """homomorphism_residual on the entry rows of A, B and T."""
+    return sum([abs(z) ** 2 for z in _hom_components(a, b, t)])
 
 
 def _det2(t) -> complex:
@@ -374,10 +379,11 @@ def _accepts(A, B, T) -> bool:
     # homomorphism; demanding that the inverse map is a homomorphism as well
     # rejects those (its residual blows up as 1/det).  A determinant that
     # overflowed is refused as well, since BasisChange would refuse it.
+    a, b = A.entries, B.entries
     d = _det2(T)
-    if not cmath.isfinite(d) or abs(d) <= DET_TOL or homomorphism_residual(A, B, T) >= ISO_TOL:
+    if not cmath.isfinite(d) or abs(d) <= DET_TOL or _residual(a, b, T) >= ISO_TOL:
         return False
-    return homomorphism_residual(B, A, _inv_rows(T, d)) < INV_TOL
+    return _residual(b, a, _inv_rows(T, d)) < INV_TOL
 
 
 # --- rank-1 invariants and closed-form starting points -------------------------
@@ -395,7 +401,7 @@ def _rank1_data(A: StructureMatrix, eps: float):
     lam = [0j, 0j]
     lam[p] = 1.0 + 0j
     lam[q] = r[q][j] / w[j]
-    err = max(abs(r[q][k] - lam[q] * w[k]) for k in (0, 1))
+    err = max(abs(r[q][0] - lam[q] * w[0]), abs(r[q][1] - lam[q] * w[1]))
     if err > eps:
         raise UnclassifiableError(
             f"rows are not proportional within tolerance (defect {err:.3g}); "
@@ -412,7 +418,7 @@ def _safe_inv_start(S):
     if not cmath.isfinite(d) or abs(d) < 1e-150:
         return None
     inv = _inv_rows(S, d)
-    return inv if all(cmath.isfinite(z) for row in inv for z in row) else None
+    return inv if all(map(cmath.isfinite, inv[0] + inv[1])) else None
 
 
 def _start_E1(w, lam, kappa, tol):
@@ -495,10 +501,10 @@ def classify_with_witness(A: StructureMatrix, field: str | None = None, *,
     try:  # an entry modulus, invariant or closed form that over- or underflows
         m = A.maxabs()
         if m <= tol:
-            return AlgebraClass(field, "E0"), None
+            return _PLAIN_CLASSES[field, "E0"], None
         shape = is_E4_shape(A, tol)
         if shape.matches:
-            return AlgebraClass(field, "E4"), _e4_witness(shape)
+            return _PLAIN_CLASSES[field, "E4"], _e4_witness(shape)
         scale = max(1.0, m)
         rank = 2 if abs(_det2(A.entries)) > tol * scale * scale else 1
         candidates = _rank2_candidates if rank == 2 else _rank1_candidates
@@ -508,6 +514,8 @@ def classify_with_witness(A: StructureMatrix, field: str | None = None, *,
             except OverflowError:  # a residual beyond float range is no witness
                 continue
             if witness is not None:
+                if not params:
+                    return _PLAIN_CLASSES[field, tag], witness
                 if field == REAL:
                     params = tuple(p.real for p in params)
                 return AlgebraClass(field, tag, params), witness
@@ -518,7 +526,10 @@ def classify_with_witness(A: StructureMatrix, field: str | None = None, *,
         "the input is numerically degenerate" + (" (e.g. 1 - a2*a3 near 0)" if rank == 2 else ""))
 
 
-# the canonical matrices of the rank-1 classes, built once
+# the answers without parameters, and the canonical matrices of the rank-1
+# classes, built once
+_PLAIN_CLASSES = {(field, tag): AlgebraClass(field, tag)
+                  for field, tags in _N_PARAMS.items() for tag, n in tags.items() if n == 0}
 _RANK1_TARGETS = {(field, tag): StructureMatrix(canonical_rows(field, tag), field)
                   for field in (COMPLEX, REAL) for tag in ("E1", "E2", "E3")}
 _RANK1_TARGETS[REAL, "E5"] = StructureMatrix(canonical_rows(REAL, "E5"), REAL)
