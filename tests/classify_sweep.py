@@ -73,7 +73,8 @@ def result(field, rows) -> str:
     return f"{cls.label()} {cls.params!r} {witness!r}"
 
 
-def main(per_cell: int) -> None:
+def sweep(per_cell: int) -> tuple[int, str]:
+    """The number of inputs classified and the sha256 of their lines."""
     digest, count = hashlib.sha256(), 0
     for field in FIELDS:
         for kind in KINDS:
@@ -85,7 +86,11 @@ def main(per_cell: int) -> None:
                         rows = [[complex(z.real) for z in r] for r in rows]
                     digest.update(f"{field} {rows!r} -> {result(field, rows)}\n".encode())
                     count += 1
-    print(count, digest.hexdigest())
+    return count, digest.hexdigest()
+
+
+def main(per_cell: int) -> None:
+    print(*sweep(per_cell))
 
 
 if __name__ == "__main__":

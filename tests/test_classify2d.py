@@ -506,6 +506,15 @@ def test_classification_matches_golden():
         assert golden_result(case["field"], rows) == case["result"], line
 
 
+def test_classification_sweep_digest_is_pinned():
+    # tests/classify_sweep.py at 4 inputs per cell: random, rank-1,
+    # zero-pattern and canonical-orbit matrices in both fields at scales
+    # 2^-40..2^40, hashed with label, parameters, witness and error text
+    from classify_sweep import sweep
+
+    assert sweep(4) == (2592, "3ff128aebd3e5271e87d219bc450010bbc90e92318854363a461c62bfb89add9")
+
+
 def test_rank2_params_are_the_closed_form(monkeypatch):
     # the parameters reported are the closed-form ones the witness was
     # checked against, exactly; nothing re-fits them by least squares
