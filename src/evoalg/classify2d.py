@@ -24,9 +24,10 @@ built once at import, and a rank-2 target is built per candidate from its
 parameters.  One loop in classify_with_witness passes each candidate to
 find_isomorphism, the one check-and-polish step: the start is accepted as a
 witness as it stands, checked on plain rows of complex numbers, or after a
-single Levenberg-Marquardt polish from it, the only step that runs through
-numpy.  The answer's validated class (prebuilt when it has no parameters)
-and witness are built once.
+single Levenberg-Marquardt polish from it (a one-row stack of the lockstep
+loop), the only step that runs through numpy.  A rejected start that meets
+the polish's stop test is not polished, as the polish would return it
+unchanged.  The answer's class and witness are built once.
 No other start is tried, so an input whose closed-form witnesses all fail is
 unclassifiable, as is one whose arithmetic leaves the float range.  The reported
 parameters are the closed-form ones the witness was checked against.
@@ -53,6 +54,7 @@ from .numerics import complex_jacobian_to_real, levenberg_marquardt
 DEFAULT_TOL = 1e-9           # absolute tolerance of exact-zero structural tests
 ISO_TOL = 1e-18              # acceptance bound on the squared homomorphism residual
 DET_TOL = 1e-12              # basis changes closer than this to singular are rejected
+POLISH_STOP = math.sqrt(ISO_TOL / 12) / 2  # the polish's stop norm on each residual part
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # primitive cube root of unity
 
@@ -286,16 +288,18 @@ def _unpack(x: np.ndarray, complex_mode: bool):
     return ((z[0], z[1]), (z[2], z[3]))
 
 
-# The real-mode arrays are contiguous copies: numpy's matmul takes another
-# summation order on a strided view, and the polish would change its bits.
-def _residual_vec(A, B, T, complex_mode: bool) -> np.ndarray:
-    r = np.array(_hom_components(A.entries, B.entries, T))
-    return r.view(float) if complex_mode else r.real.copy()
+# The polish is a one-row stack: x is (1, n), the results (1, m) and
+# (1, m, n).  The real-mode arrays are contiguous copies: numpy's matmul
+# takes another summation order on a strided view, and the polish would
+# change its bits.
+def _residual_vec(A, B, x, complex_mode: bool) -> np.ndarray:
+    r = np.array(_hom_components(A.entries, B.entries, _unpack(x[0], complex_mode)))
+    return (r.view(float) if complex_mode else r.real.copy())[None]
 
 
-def _jacobian_vec(A, B, T, complex_mode: bool) -> np.ndarray:
-    J = _jac_complex(A, B, T)
-    return complex_jacobian_to_real(J) if complex_mode else J.real.copy()
+def _jacobian_vec(A, B, x, complex_mode: bool) -> np.ndarray:
+    J = _jac_complex(A, B, _unpack(x[0], complex_mode))
+    return (complex_jacobian_to_real(J) if complex_mode else J.real.copy())[None]
 
 
 def _jac_complex(A, B, T) -> np.ndarray:
@@ -330,10 +334,13 @@ def find_isomorphism(A: StructureMatrix, B: StructureMatrix, start=None):
     With a start (a 2x2 basis change, row i the image of e_i), the start is
     accepted as it stands when it passes the witness check, which runs on
     plain rows of complex numbers (in real mode their imaginary parts are
-    dropped); otherwise one Levenberg-Marquardt polish runs from it, the
-    only step that goes through numpy, and the result is checked again.
-    The polish minimizes the homomorphism residual alone; the check's
-    determinant test rejects a result that ends near a singular map.
+    dropped).  Otherwise one Levenberg-Marquardt polish runs from it as a
+    one-row stack, the only step that goes through numpy, and the result is
+    checked again; a start whose residual components have every real and
+    imaginary part within POLISH_STOP would come back unchanged, so it gives
+    None without one.  The polish minimizes the homomorphism residual alone;
+    the check's determinant test rejects a result that ends near a singular
+    map.
     Without a start, A and B are classified with their witnesses, and the
     classification is a complete invariant: different tags give None, and the
     start is T_A * T_B^-1 (the identity when both are E0).  An input that is
@@ -362,12 +369,16 @@ def find_isomorphism(A: StructureMatrix, B: StructureMatrix, start=None):
     T = ((entry(a), entry(b)), (entry(c), entry(d)))
     if _accepts(A, B, T):
         return BasisChange(T)
+    # the polish would return this start unchanged; a NaN part still polishes
+    if all(abs(part) <= POLISH_STOP for z in _hom_components(A.entries, B.entries, T)
+           for part in (z.real, z.imag)):
+        return None
     with np.errstate(all="ignore"):  # a polish that overflows is rejected below
         x, _, _ = levenberg_marquardt(
-            lambda x: _residual_vec(A, B, _unpack(x, complex_mode), complex_mode),
-            lambda x: _jacobian_vec(A, B, _unpack(x, complex_mode), complex_mode),
-            _pack(T, complex_mode), stop_norm=math.sqrt(ISO_TOL / 12.0) * 0.5)
-    T = _unpack(x, complex_mode)
+            lambda x: _residual_vec(A, B, x, complex_mode),
+            lambda x: _jacobian_vec(A, B, x, complex_mode),
+            _pack(T, complex_mode)[None], stop_norm=POLISH_STOP)
+    T = _unpack(x[0], complex_mode)
     return BasisChange(T) if _accepts(A, B, T) else None
 
 

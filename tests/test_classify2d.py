@@ -4,8 +4,10 @@ import json
 import math
 import pathlib
 import random
+import unittest.mock
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -453,24 +455,19 @@ def test_overflowing_closed_form_is_no_start(monkeypatch, rows):
     assert starts == []
 
 
-def test_near_singular_start_is_polished_once(monkeypatch):
+def test_near_singular_start_is_not_polished(monkeypatch):
     # kappa ~ 1.8e-24 puts E3 first; its closed form is singular to within
-    # |det| ~ 9e-37 and already a homomorphism, so the polish stops at its
-    # first residual and the determinant test rejects it; E1's closed form
-    # is then the witness as it stands
+    # |det| ~ 9e-37 and already a homomorphism within the polish's stop
+    # norm, so no polish runs and the determinant test rejects it; E1's
+    # closed form is then the witness as it stands
     import evoalg.classify2d as c2d
 
-    evals = []
+    calls = []
     lm = c2d.levenberg_marquardt
 
     def counting_lm(residual, jacobian, x0, **kwargs):
-        evals.append(0)
-
-        def counted(x):
-            evals[-1] += 1
-            return residual(x)
-
-        return lm(counted, jacobian, x0, **kwargs)
+        calls.append(x0)
+        return lm(residual, jacobian, x0, **kwargs)
 
     monkeypatch.setattr(c2d, "levenberg_marquardt", counting_lm)
     A = SM([[1.3468605077866173e-12, -2.5906837124019626], [0, 0]], "real")
@@ -479,7 +476,78 @@ def test_near_singular_start_is_polished_once(monkeypatch):
     kappa = w[0] * w[0] * lam[0] + w[1] * w[1] * lam[1]
     assert cls == AlgebraClass("real", "E1")
     assert witness.entries == c2d._start_E1(w, lam, kappa, c2d.DEFAULT_TOL)
-    assert evals == [1]
+    assert calls == []
+
+
+# every class that classification reaches through a closed-form witness
+_WITNESSED = [
+    AlgebraClass("complex", "E1"), AlgebraClass("complex", "E2"),
+    AlgebraClass("complex", "E3"), AlgebraClass("complex", "E5", (0.3 - 0.2j, 1.1)),
+    AlgebraClass("complex", "E6", (0.9 + 0.4j,)), AlgebraClass("complex", "E6", (0,)),
+    AlgebraClass("real", "E1"), AlgebraClass("real", "E2"), AlgebraClass("real", "E3"),
+    AlgebraClass("real", "E5"), AlgebraClass("real", "E6", (0.5, -0.8)),
+    AlgebraClass("real", "E7", (-1.2,)), AlgebraClass("real", "E7", (0,)),
+]
+
+
+def _one_start_check_and_polish(A, B, T):
+    """find_isomorphism's answer for a start T, by the reference one-start
+    loop: T as it stands if it passes the witness check, else the check of
+    the polished T (None when it fails)."""
+    import evoalg.classify2d as c2d
+    from test_numerics import _one_start_lm
+
+    if c2d._accepts(A, B, T):
+        return T
+    cm = A.field == "complex"
+    with np.errstate(all="ignore"):
+        x, _, _ = _one_start_lm(lambda x: c2d._residual_vec(A, B, x[None], cm)[0],
+                                lambda x: c2d._jacobian_vec(A, B, x[None], cm)[0],
+                                c2d._pack(T, cm), stop_norm=c2d.POLISH_STOP)
+    T = c2d._unpack(x, cm)
+    return T if c2d._accepts(A, B, T) else None
+
+
+@settings(max_examples=120, deadline=None)
+@given(cls=st.sampled_from(_WITNESSED), seed=st.integers(0, 2**32 - 1),
+       pick=st.integers(0, 7), zero_map=st.booleans(),
+       factor=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.25, 4096.0))
+def test_polish_skip_gives_the_one_start_answer(cls, seed, pick, zero_map, factor):
+    # closed-form starts for a canonical orbit, and the zero map (a
+    # homomorphism that the determinant test rejects), moved off by a
+    # perturbation whose residual parts are about factor * POLISH_STOP
+    import evoalg.classify2d as c2d
+
+    rng = random.Random(seed)
+    A = _canonical_orbit(cls, rng, 1)[-1]
+    cands = c2d._rank2_candidates if abs(c2d._det2(A.entries)) > 1e-9 else c2d._rank1_candidates
+    cands = list(cands(A, cls.field, c2d.DEFAULT_TOL, max(1.0, A.maxabs())))
+    _, _, B, start = cands[pick % len(cands)]
+    T0 = np.zeros((2, 2), dtype=complex) if zero_map else np.array(start, dtype=complex)
+    E = np.array([[_rand_nonzero(rng) for _ in range(2)] for _ in range(2)])
+    if cls.field == "real":
+        T0, E = T0.real.astype(complex), E.real.astype(complex)
+    cm = cls.field == "complex"
+    J = c2d._jacobian_vec(A, B, c2d._pack(T0.tolist(), cm)[None], cm)[0]
+    slope = np.max(np.abs(J @ c2d._pack(E.tolist(), cm)))
+    T = (T0 + factor * c2d.POLISH_STOP / slope * E).tolist()
+    T = tuple(tuple(row) for row in T)
+
+    calls = []
+    lm = c2d.levenberg_marquardt
+
+    def counting_lm(residual, jacobian, x0, **kwargs):
+        calls.append(x0)
+        return lm(residual, jacobian, x0, **kwargs)
+
+    with unittest.mock.patch.object(c2d, "levenberg_marquardt", counting_lm):
+        got = find_isomorphism(A, B, T)
+    want = _one_start_check_and_polish(A, B, T)
+    assert repr(None if got is None else got.entries) == repr(want)
+    # the polish runs exactly when the start is rejected and the loop's
+    # first stop test fails
+    first = np.max(np.abs(c2d._residual_vec(A, B, c2d._pack(T, cm)[None], cm)))
+    assert len(calls) == (not c2d._accepts(A, B, T) and not first <= c2d.POLISH_STOP)
 
 
 _GOLDEN = pathlib.Path(__file__).parent / "data" / "classify_golden.jsonl"
