@@ -392,6 +392,18 @@ def test_rank1_starts_are_built_lazily(monkeypatch):
     assert built == ["_start_E3"]
 
 
+_POOL = [
+    AlgebraClass("complex", "E0"), AlgebraClass("complex", "E1"),
+    AlgebraClass("complex", "E2"), AlgebraClass("complex", "E3"),
+    AlgebraClass("complex", "E4"), AlgebraClass("complex", "E5", (0.3 - 0.2j, 1.1)),
+    AlgebraClass("complex", "E6", (0.9 + 0.4j,)), AlgebraClass("complex", "E6", (0,)),
+    AlgebraClass("real", "E0"), AlgebraClass("real", "E1"), AlgebraClass("real", "E2"),
+    AlgebraClass("real", "E3"), AlgebraClass("real", "E4"), AlgebraClass("real", "E5"),
+    AlgebraClass("real", "E6", (0.5, -0.8)), AlgebraClass("real", "E7", (-1.2,)),
+    AlgebraClass("real", "E7", (0,)),
+]
+
+
 def test_classification_never_reaches_the_multi_start(monkeypatch):
     # classification tries closed-form witnesses only: every find_isomorphism
     # call it makes carries its start, on success or on failure
@@ -408,17 +420,7 @@ def test_classification_never_reaches_the_multi_start(monkeypatch):
 
     monkeypatch.setattr(c2d, "find_isomorphism", no_multi_start)
     rng = random.Random(13)
-    pool = [
-        AlgebraClass("complex", "E0"), AlgebraClass("complex", "E1"),
-        AlgebraClass("complex", "E2"), AlgebraClass("complex", "E3"),
-        AlgebraClass("complex", "E4"), AlgebraClass("complex", "E5", (0.3 - 0.2j, 1.1)),
-        AlgebraClass("complex", "E6", (0.9 + 0.4j,)), AlgebraClass("complex", "E6", (0,)),
-        AlgebraClass("real", "E0"), AlgebraClass("real", "E1"), AlgebraClass("real", "E2"),
-        AlgebraClass("real", "E3"), AlgebraClass("real", "E4"), AlgebraClass("real", "E5"),
-        AlgebraClass("real", "E6", (0.5, -0.8)), AlgebraClass("real", "E7", (-1.2,)),
-        AlgebraClass("real", "E7", (0,)),
-    ]
-    for cls in pool:
+    for cls in _POOL:
         calls.clear()
         for A in _canonical_orbit(cls, rng):
             assert classify(A, cls.field).tag == cls.tag, (cls, A.entries)
@@ -479,15 +481,8 @@ def test_near_singular_start_is_not_polished(monkeypatch):
     assert calls == []
 
 
-# every class that classification reaches through a closed-form witness
-_WITNESSED = [
-    AlgebraClass("complex", "E1"), AlgebraClass("complex", "E2"),
-    AlgebraClass("complex", "E3"), AlgebraClass("complex", "E5", (0.3 - 0.2j, 1.1)),
-    AlgebraClass("complex", "E6", (0.9 + 0.4j,)), AlgebraClass("complex", "E6", (0,)),
-    AlgebraClass("real", "E1"), AlgebraClass("real", "E2"), AlgebraClass("real", "E3"),
-    AlgebraClass("real", "E5"), AlgebraClass("real", "E6", (0.5, -0.8)),
-    AlgebraClass("real", "E7", (-1.2,)), AlgebraClass("real", "E7", (0,)),
-]
+# the classes that classification reaches through a closed-form witness
+_WITNESSED = [cls for cls in _POOL if cls.tag not in ("E0", "E4")]
 
 
 def _one_start_check_and_polish(A, B, T):
@@ -530,8 +525,7 @@ def test_polish_skip_gives_the_one_start_answer(cls, seed, pick, zero_map, facto
     cm = cls.field == "complex"
     J = c2d._jacobian_vec(A, B, c2d._pack(T0.tolist(), cm)[None], cm)[0]
     slope = np.max(np.abs(J @ c2d._pack(E.tolist(), cm)))
-    T = (T0 + factor * c2d.POLISH_STOP / slope * E).tolist()
-    T = tuple(tuple(row) for row in T)
+    T = tuple(map(tuple, (T0 + factor * c2d.POLISH_STOP / slope * E).tolist()))
 
     calls = []
     lm = c2d.levenberg_marquardt
