@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -222,6 +223,47 @@ def test_compiled_domain_errors_match_the_oracle(text, s, t, message):
 def test_compile_refuses_an_unknown_node():
     with pytest.raises(TypeError):
         compile_expr(Call("tan", Var("s")))
+
+
+# fractional numbers, all five operators and all six functions, at every
+# signed zero, negative, tiny, huge, infinite and NaN point
+_PIN_POINTS = (0.0, -0.0, 0.5, -1.0, 2.0, -2.5, 1e-308, 1e308, -1e308, math.inf, -math.inf,
+               math.nan)
+
+
+def _pin_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.3:
+            return Num(float(rng.randint(0, 9)))
+        if r < 0.5:
+            return Num(rng.randint(1, 99) / 8)
+        return Var(rng.choice("st"))
+    r = rng.random()
+    if r < 0.15:
+        return Neg(_pin_tree(rng, depth - 1))
+    if r < 0.5:
+        return Call(rng.choice(FUNCTIONS), _pin_tree(rng, depth - 1))
+    return Bin(rng.choice("+-*/^"), _pin_tree(rng, depth - 1), _pin_tree(rng, depth - 1))
+
+
+def test_evaluation_digest_is_pinned():
+    # 120 seeded trees at 144 points each: every value's bits, or every
+    # error's type, message and sub-expression, hashed in order; every
+    # DomainEvalError message occurs
+    rng = random.Random(2020)
+    h = hashlib.sha256()
+    for _ in range(120):
+        e = _pin_tree(rng, 4)
+        for s in _PIN_POINTS:
+            for t in _PIN_POINTS:
+                try:
+                    v = eval_expr(e, s, t)
+                except DomainEvalError as err:
+                    h.update(f"{type(err).__name__}|{err}|{to_string(err.subexpr)}\n".encode())
+                else:
+                    h.update(f"{v.hex()}\n".encode())
+    assert h.hexdigest() == "a8b00f85ae8b7564c8fa20d6890390c3511de9129daad94bbe2989db624f8c47"
 
 
 def test_fuzz_never_crashes():
