@@ -340,6 +340,19 @@ class CantorDelta:
     expr: Expr | None = None
     threshold: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("expr", "step", "cutoff"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if (self.expr is None) != (self.kind == "step"):
+            raise ValueError(f"{self.kind} delta " + (
+                "needs an expression" if self.expr is None else "takes no expression"))
+        th = self.threshold
+        if self.kind != "expr" and not 0.0 < th < math.inf:
+            raise ValueError(f"threshold {'a' if self.kind == 'step' else 'C'} must be "
+                             f"{'finite' if th == math.inf else '> 0'}, got {th}")
+        # compiled once; the dataclass is frozen
+        self.__dict__["compiled"] = None if self.expr is None else compile_expr(self.expr)
+
     @staticmethod
     def from_expr(text_or_expr) -> "CantorDelta":
         e = parse_expr(text_or_expr) if isinstance(text_or_expr, str) else text_or_expr
@@ -357,7 +370,7 @@ class CantorDelta:
 
     def __call__(self, s: float, t: float) -> float:
         if self.kind == "expr":
-            return eval_expr(self.expr, s, t)
+            return self.compiled(s, t)
         if self.kind == "step":
             a = self.threshold
             if 0.0 < s <= t < a:
@@ -369,7 +382,7 @@ class CantorDelta:
         if 0.0 < C <= s < t or 0.0 < s < t <= C:
             return 0.0
         if 0.0 < s < C < t:
-            return eval_expr(self.expr, s, t)
+            return self.compiled(s, t)
         raise OutOfDomainError(f"(s={s}, t={t}) not covered by the cutoff solution")
 
 
@@ -417,7 +430,7 @@ def expected_dynamics_class(spec: ChainFamilySpec, s: float, t: float,
     def near(x, y):
         return abs(x - y) < eps
 
-    def fn(name, x):
+    def fn(name, x):  # one-shot, apart from the spec's compiled slots
         return eval_expr(spec.functions[name], x, x)
 
     if not (0.0 <= s <= t):

@@ -208,9 +208,12 @@ def rescale_permute(A: StructureMatrix, scales, perm=(0, 1)) -> StructureMatrix:
     New constants: a'_ij = d_i^2 a_{perm(i) perm(j)} / d_j.
     """
     d = tuple(complex(z) for z in scales)
+    n = A.dim
+    if len(d) != n or sorted(perm) != list(range(n)):
+        raise ValueError(f"need {n} scales and a permutation of range({n}), "
+                         f"got {len(d)} scale(s) and perm {tuple(perm)}")
     if any(z == 0 for z in d):
         raise ValueError("scales must be nonzero")
-    n = A.dim
     rows = [
         tuple(d[i] ** 2 * A.entries[perm[i]][perm[j]] / d[j] for j in range(n))
         for i in range(n)
@@ -481,8 +484,10 @@ def _e4_witness(shape: E4Shape):
         S = ((1.0 + 0j, 0j), (0j, shape.entry))
     else:
         S = ((0j, 1.0 + 0j), (shape.entry, 0j))
-    inv = _inv2(S)
-    return BasisChange(inv) if inv is not None else None
+    inv = _inv2(S)  # the entry is nonzero, so S is invertible
+    if not all(cmath.isfinite(z) for row in inv for z in row):
+        raise OverflowError("the inverse of the E4 entry is beyond float range")
+    return BasisChange(inv)
 
 
 # --- classification -----------------------------------------------------------

@@ -8,10 +8,12 @@ Grammar (lowest to highest precedence):
     power  := atom ("^" factor)?          # right-associative
     atom   := NUMBER | "s" | "t" | NAME "(" expr ("," expr)* ")" | "(" expr ")"
 
-Known functions: exp, log, sin, cos, sqrt, abs (all unary).  Values are real;
-domain violations (division by zero, log of a nonpositive number, sqrt of a
-negative number, overflow) raise DomainEvalError carrying the offending
-sub-expression.
+Known functions: exp, log, sin, cos, sqrt, abs (all unary).  Values are real.
+`compile_expr` is the one evaluator: it builds a tree once into closures, and
+`eval_expr` compiles for a single point.  Domain violations (division by zero,
+log of a nonpositive number, sqrt of a negative number, a negative base with a
+non-integer exponent, overflow, sin or cos of an infinite argument, a
+non-finite result) raise DomainEvalError carrying the offending sub-expression.
 """
 
 from __future__ import annotations
@@ -223,72 +225,15 @@ def parse_expr(text: str) -> Expr:
 
 
 def eval_expr(e: Expr, s: float, t: float) -> float:
-    v = _eval(e, s, t)
-    if not math.isfinite(v):
-        raise DomainEvalError("non-finite result", e)
-    return v
-
-
-def _eval(e: Expr, s: float, t: float) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return s if e.name == "s" else t
-    if isinstance(e, Neg):
-        return -_eval(e.arg, s, t)
-    if isinstance(e, Bin):
-        a = _eval(e.left, s, t)
-        b = _eval(e.right, s, t)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise DomainEvalError("division by zero", e)
-            return a / b
-        # power; real-valued only
-        if a == 0.0 and b < 0.0:
-            raise DomainEvalError("zero raised to a negative power", e)
-        if a < 0.0 and b % 1 != 0:  # int(b) would raise on an infinite or NaN b
-            raise DomainEvalError("negative base with non-integer exponent", e)
-        try:
-            return float(a**b)
-        except OverflowError:
-            raise DomainEvalError("overflow", e) from None
-    if isinstance(e, Call):
-        x = _eval(e.arg, s, t)
-        try:
-            if e.fn == "exp":
-                return math.exp(x)
-            if e.fn == "log":
-                if x <= 0.0:
-                    raise DomainEvalError("log of a nonpositive number", e)
-                return math.log(x)
-            if e.fn == "sin":
-                return math.sin(x)
-            if e.fn == "cos":
-                return math.cos(x)
-            if e.fn == "sqrt":
-                if x < 0.0:
-                    raise DomainEvalError("sqrt of a negative number", e)
-                return math.sqrt(x)
-            if e.fn == "abs":
-                return abs(x)
-        except OverflowError:
-            raise DomainEvalError("overflow", e) from None
-        except ValueError:  # sin or cos of an infinite argument
-            raise DomainEvalError("infinite argument", e) from None
-    raise TypeError(f"not an expression node: {e!r}")
+    """`e` at (s, t), compiled for this one call; build a callable once with
+    `compile_expr` to evaluate many points."""
+    return compile_expr(e)(s, t)
 
 
 def compile_expr(e: Expr):
     """`e` built once into a callable (s, t) -> float, one closure per node.
-    For every input it returns the bits of `eval_expr(e, s, t)` or raises the
-    same DomainEvalError (message and sub-expression): `eval_expr` is the
-    oracle it is tested against."""
+    Children run left to right before their node's domain check; a node that
+    is not an expression raises TypeError here, before anything runs."""
     f = _compile(e)
 
     def run(s, t):
@@ -308,7 +253,7 @@ _OUTSIDE = {"log": (lambda x: x <= 0.0, "log of a nonpositive number"),
 
 
 def _compile(e: Expr):
-    """The closure of one node: `_eval`'s steps, in its order."""
+    """The closure of one node."""
     if isinstance(e, Num):
         v = e.value
         return lambda s, t: v

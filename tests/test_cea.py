@@ -6,7 +6,7 @@ import pytest
 
 from evoalg import cea
 from evoalg.core import EvoalgError, StructureMatrix
-from evoalg.exprlang import DomainEvalError
+from evoalg.exprlang import DomainEvalError, parse_expr
 from evoalg.cea import (
     FAMILIES,
     CantorDelta,
@@ -266,6 +266,14 @@ def test_non_finite_entry_is_an_evoalg_error():
     assert {tag for row in d.cells for tag in row} == {"error", "out_of_domain"}
 
 
+def test_diagram_with_a_tiny_e4_entry_marks_error_cells():
+    # Phi(t)/Phi(s) = exp(-100 (t - s)) is about 1e-309 to 1e-320 here: the
+    # E4 witness overflows, and each cell is unclassifiable, not a ValueError
+    spec = mk("M5", {"Phi": "exp(-100*t)"}, {"C": 1.0})
+    d = property_diagram(spec, "E4", (0, 0.02, 7.1, 7.4), 4, tol=0.0)
+    assert {tag for row in d.cells for tag in row} == {"error"}
+
+
 def test_verify_cantor_examples():
     assert verify_cantor("exp(t)/exp(s)", "cantor", 1000, 0).passed
     assert verify_cantor("0", "cantor", 500, 0).passed
@@ -283,6 +291,27 @@ def test_verify_cantor_needs_samples():
     for samples in (0, -5):
         with pytest.raises(ValueError, match="samples"):
             verify_cantor("0", "cantor", samples)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CantorDelta("sum", parse_expr("s")), "unknown kind 'sum'"),
+    (lambda: CantorDelta("expr"), "expr delta needs an expression"),
+    (lambda: CantorDelta("cutoff", None, 1.0), "cutoff delta needs an expression"),
+    (lambda: CantorDelta("step", parse_expr("s"), 1.0), "step delta takes no expression"),
+    # a step at a <= 0 is 0 on every admissible pair and passes any sampled
+    # check; a cutoff at C <= 0 or a NaN threshold puts every pair out of domain
+    (lambda: CantorDelta.step(0.0), "threshold a must be > 0, got 0.0"),
+    (lambda: CantorDelta.step(-3.0), "threshold a must be > 0, got -3.0"),
+    (lambda: CantorDelta.step(math.nan), "threshold a must be > 0, got nan"),
+    (lambda: CantorDelta.step(math.inf), "threshold a must be finite, got inf"),
+    (lambda: CantorDelta.cutoff(0.0, "s+t"), "threshold C must be > 0, got 0.0"),
+    (lambda: CantorDelta.cutoff(-math.inf, "s+t"), "threshold C must be > 0, got -inf"),
+    (lambda: CantorDelta.cutoff(math.inf, "s+t"), "threshold C must be finite, got inf"),
+])
+def test_cantor_delta_checks_itself(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_verify_cantor_names_the_triple_of_an_error():
@@ -412,8 +441,8 @@ def test_property_diagram_fallback_matches_the_per_cell_loop(monkeypatch):
 
 
 def test_chain_slots_run_compiled(monkeypatch):
-    # with the tree-walking evaluator disabled, every report and cell is the
-    # same: chain evaluation goes through each spec's compiled slots
+    # with compilation disabled, every report and cell of a spec built before
+    # is the same: chain evaluation runs each spec's compiled slots
     import evoalg.exprlang as exprlang
 
     specs = [mk(family, inst.get("functions"), inst.get("thresholds"))
@@ -425,10 +454,10 @@ def test_chain_slots_run_compiled(monkeypatch):
 
     want = run()
 
-    def no_tree_walk(*args):
-        raise AssertionError("a chain slot walked the expression tree")
+    def no_compile(*args):
+        raise AssertionError("a chain slot compiled an expression")
 
-    monkeypatch.setattr(exprlang, "_eval", no_tree_walk)
+    monkeypatch.setattr(exprlang, "_compile", no_compile)
     with pytest.raises(AssertionError):
         exprlang.eval_expr(specs[0].functions["rho"], 1.0, 1.0)
     assert run() == want

@@ -673,6 +673,18 @@ _NAN, _INF = math.nan, math.inf
      "E6(4, 0.25) (real) is degenerate: 1 - p0*p1 = 0"),
     (lambda: AlgebraClass("complex", "E7", (1,)), "invalid class 'E7' for field 'complex'"),
     (lambda: AlgebraClass("real", "E6", (_NAN,)), "E6 (real) takes 2 parameters, got 1"),
+    # rescale_permute: perm must permute range(n), with one scale per basis vector
+    (lambda: rescale_permute(SM([[1, 2], [3, 4]]), (1, 1), (0, 0)),
+     "need 2 scales and a permutation of range(2), got 2 scale(s) and perm (0, 0)"),
+    (lambda: rescale_permute(SM([[1, 2], [3, 4]]), (1, 1), (0, 2)),
+     "need 2 scales and a permutation of range(2), got 2 scale(s) and perm (0, 2)"),
+    (lambda: rescale_permute(SM([[1, 2], [3, 4]]), (1, 1, 1), (0, 1)),
+     "need 2 scales and a permutation of range(2), got 3 scale(s) and perm (0, 1)"),
+    (lambda: rescale_permute(SM([[1, 2], [3, 4]]), (1,), (1, 0)),
+     "need 2 scales and a permutation of range(2), got 1 scale(s) and perm (1, 0)"),
+    (lambda: rescale_permute(SM([[1, 2], [3, 4]]), (0, 1)), "scales must be nonzero"),
+    (lambda: rescale_permute(SM([[1, 2], [3, 4]]), (0, 1), (1, 1)),
+     "need 2 scales and a permutation of range(2), got 2 scale(s) and perm (1, 1)"),
     # BasisChange
     (lambda: BasisChange(((1, 2), (2, 4))),
      "basis change is singular within relative 1e-12: det=0j"),
@@ -703,6 +715,24 @@ def test_large_e4_keeps_its_witness(field, rows):
     assert cls.tag == "E4"
     assert homomorphism_residual(A, canonical_matrix(cls), w) < 1e-18
     assert find_isomorphism(A, A) is not None
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("variant", ["upper", "lower"])
+def test_tiny_e4_is_never_an_input_error(field, variant):
+    # below about 5.6e-309 the witness entry 1/b overflows: unclassifiable,
+    # never the ValueError of a singular BasisChange; a finite witness is
+    # exactly diag(1, 1/b) (upper) or antidiag(1/b, 1) (lower)
+    for b in (5e-324, 1e-320, 5e-309, 5.5e-309, 5.6e-309, 6e-309, 1e-308, 1e-300):
+        rows = [[0, b], [0, 0]] if variant == "upper" else [[0, 0], [b, 0]]
+        try:
+            cls, w = classify_with_witness(SM(rows, field), field, tol=0.0)
+        except UnclassifiableError as err:
+            assert 1 / b == math.inf and "beyond the range of float" in str(err)
+            continue
+        assert cls.tag == "E4" and isinstance(w, BasisChange)
+        inv = 1 / complex(b)
+        assert w.entries == (((1, 0), (0, inv)) if variant == "upper" else ((0, inv), (1, 0)))
 
 
 def test_classify_field_mismatch():

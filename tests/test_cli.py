@@ -92,6 +92,15 @@ def test_classify_overflowing_determinant_is_no_input_error(tmp_path, capsys, te
     assert (code, err.split(":")[0]) == (2, "unclassifiable") or (code == 0 and "class:" in out)
 
 
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("text", ["0+0i 1e-320+0i\n0+0i 0+0i", "0+0i 0+0i\n1e-320+0i 0+0i"])
+def test_classify_tiny_e4_is_no_input_error(tmp_path, capsys, field, text):
+    # the E4 witness entry 1/b overflows: unclassifiable (exit 2), not exit 1
+    m = write_matrix(tmp_path, "m.txt", f"2\n{text}\n")
+    code, _, err = run(capsys, "--tol", "0", "classify", m, "--field", field)
+    assert code == 2 and err.startswith("unclassifiable: ")
+
+
 def test_parser_is_built_once():
     assert cli._parser() is cli._parser()
 

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evoalg.cea import CantorDelta
 from evoalg.exprlang import (
     FUNCTIONS,
     ArityError,
     Bin,
     Call,
     DomainEvalError,
+    Expr,
     ExprError,
     ExprSyntaxError,
     Neg,
@@ -174,6 +176,70 @@ def test_roundtrip_hypothesis(e, s, t):
     assert eval_expr(back, s, t) == want
 
 
+def _tree_eval(e, s, t):
+    """The tree-walking evaluator that `compile_expr` replaced, kept verbatim
+    as the oracle: the value at (s, t) or the same DomainEvalError."""
+    v = _walk(e, s, t)
+    if not math.isfinite(v):
+        raise DomainEvalError("non-finite result", e)
+    return v
+
+
+def _walk(e: Expr, s: float, t: float) -> float:
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return s if e.name == "s" else t
+    if isinstance(e, Neg):
+        return -_walk(e.arg, s, t)
+    if isinstance(e, Bin):
+        a = _walk(e.left, s, t)
+        b = _walk(e.right, s, t)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if b == 0.0:
+                raise DomainEvalError("division by zero", e)
+            return a / b
+        # power; real-valued only
+        if a == 0.0 and b < 0.0:
+            raise DomainEvalError("zero raised to a negative power", e)
+        if a < 0.0 and b % 1 != 0:  # int(b) would raise on an infinite or NaN b
+            raise DomainEvalError("negative base with non-integer exponent", e)
+        try:
+            return float(a**b)
+        except OverflowError:
+            raise DomainEvalError("overflow", e) from None
+    if isinstance(e, Call):
+        x = _walk(e.arg, s, t)
+        try:
+            if e.fn == "exp":
+                return math.exp(x)
+            if e.fn == "log":
+                if x <= 0.0:
+                    raise DomainEvalError("log of a nonpositive number", e)
+                return math.log(x)
+            if e.fn == "sin":
+                return math.sin(x)
+            if e.fn == "cos":
+                return math.cos(x)
+            if e.fn == "sqrt":
+                if x < 0.0:
+                    raise DomainEvalError("sqrt of a negative number", e)
+                return math.sqrt(x)
+            if e.fn == "abs":
+                return abs(x)
+        except OverflowError:
+            raise DomainEvalError("overflow", e) from None
+        except ValueError:  # sin or cos of an infinite argument
+            raise DomainEvalError("infinite argument", e) from None
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def _outcome(run, s, t):
     """The value's bits, or the exception's type, message and sub-expression."""
     try:
@@ -190,7 +256,11 @@ _ANY_POINT = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1e-308, 1e308, -1e308])
 @given(_TREES, _ANY_POINT, _ANY_POINT)
 @settings(max_examples=500, deadline=None)
 def test_compiled_matches_the_oracle_hypothesis(e, s, t):
-    assert _outcome(compile_expr(e), s, t) == _outcome(lambda s, t: eval_expr(e, s, t), s, t)
+    # every evaluator: a compiled callable, the one-shot eval_expr and a
+    # CantorDelta, which compiles its expression once
+    want = _outcome(lambda s, t: _tree_eval(e, s, t), s, t)
+    for run in (compile_expr(e), lambda s, t: eval_expr(e, s, t), CantorDelta.from_expr(e)):
+        assert _outcome(run, s, t) == want
 
 
 @pytest.mark.parametrize("text, s, t, message", [
@@ -214,15 +284,24 @@ def test_compiled_matches_the_oracle_hypothesis(e, s, t):
 def test_compiled_domain_errors_match_the_oracle(text, s, t, message):
     e = parse_expr(text)
     with pytest.raises(DomainEvalError, match=f"^{message} in ") as want:
-        eval_expr(e, s, t)
-    with pytest.raises(DomainEvalError) as got:
-        compile_expr(e)(s, t)
-    assert str(got.value) == str(want.value) and got.value.subexpr == want.value.subexpr
+        _tree_eval(e, s, t)
+    for run in (compile_expr(e), lambda s, t: eval_expr(e, s, t)):
+        with pytest.raises(DomainEvalError) as got:
+            run(s, t)
+        assert str(got.value) == str(want.value) and got.value.subexpr == want.value.subexpr
 
 
 def test_compile_refuses_an_unknown_node():
     with pytest.raises(TypeError):
         compile_expr(Call("tan", Var("s")))
+    # a hand-built tree (the parser makes none) with an unknown node after a
+    # failing sibling: the tree walk raised the sibling's error first, while
+    # eval_expr compiles the whole tree before it evaluates anything
+    e = Bin("+", parse_expr("1/s"), Call("tan", Var("s")))
+    with pytest.raises(DomainEvalError, match="^division by zero"):
+        _tree_eval(e, 0.0, 1.0)
+    with pytest.raises(TypeError, match="^not an expression node"):
+        eval_expr(e, 0.0, 1.0)
 
 
 # fractional numbers, all five operators and all six functions, at every
