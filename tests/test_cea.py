@@ -267,7 +267,7 @@ def test_non_finite_entry_is_an_evoalg_error():
 
 
 def test_diagram_with_a_tiny_e4_entry_marks_error_cells():
-    # Phi(t)/Phi(s) = exp(-100 (t - s)) is about 1e-309 to 1e-320 here: the
+    # Phi(t)/Phi(s) = exp(-100 (t - s)) is 2e-310 to 2e-320 at the centres: the
     # E4 witness overflows, and each cell is unclassifiable, not a ValueError
     spec = mk("M5", {"Phi": "exp(-100*t)"}, {"C": 1.0})
     d = property_diagram(spec, "E4", (0, 0.02, 7.1, 7.4), 4, tol=0.0)
