@@ -23,13 +23,11 @@ M[s,t] = M[s,tau] M[tau,t] over seeded triples s < tau < t.
 `classify_dynamics` classifies the matrix at a time pair (complex mode, so
 the E1/E2 split depends only on whether the relevant free function
 vanishes).  `expected_dynamics_class` is the closed-form region table the
-classifier is tested against, and `dynamics_witness` produces an explicit
-basis change onto the canonical form for the same region.
+classifier is tested against.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import random
@@ -38,8 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import COMPLEX, REAL, EvoalgError, StructureMatrix
-from .classify2d import (AlgebraClass, _mul2, canonical_matrix, classify, classify_tags,
-                         homomorphism_residual)
+from .classify2d import AlgebraClass, _mul2, classify, classify_tags
 from .exprlang import Expr, compile_expr, eval_expr, parse_expr, to_string
 
 TimePair = tuple[float, float]
@@ -89,8 +86,9 @@ class ChainFamilySpec:
                 f"{self.family} needs thresholds {sorted(th_slots)}, got {sorted(self.thresholds)}"
             )
         for name, v in self.thresholds.items():
-            if not v > 0:
-                raise ValueError(f"threshold {name} must be > 0, got {v}")
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"threshold {name} must be "
+                                 f"{'finite' if v == math.inf else '> 0'}, got {v}")
         # each slot compiled once; the dataclass is frozen
         self.__dict__["compiled"] = {k: compile_expr(e) for k, e in self.functions.items()}
 
@@ -501,45 +499,6 @@ def expected_dynamics_class(spec: ChainFamilySpec, s: float, t: float,
     return "E0" if g == 0.0 else "E4"
 
 
-def dynamics_witness(spec: ChainFamilySpec, s: float, t: float):
-    """Closed-form basis change realizing the expected class at (s, t).
-
-    Returns (tag, S) where S maps the canonical algebra of `tag` onto the
-    family's algebra (rows of S are the images of the canonical basis), or
-    (tag, None) for the zero algebra where any invertible map works.
-    """
-    tag = expected_dynamics_class(spec, s, t, eps=0.0)
-    if tag is None:
-        raise OutOfDomainError(f"(s={s}, t={t}) is out of domain for {spec.family}")
-    A = family_matrix(spec, s, t)
-    (_, beta), (gamma, delta) = A.entries
-    if tag == "E0":
-        return tag, None
-    if tag == "E1":
-        if spec.family in ("M1", "M2"):
-            return tag, ((0.0, 1.0 / delta), (1.0, 0.0))
-        # M3/M4 shape [[0,0],[gamma,delta]]
-        return tag, ((gamma / delta**2, 1.0 / delta), (1.0, 0.0))
-    if tag == "E2":
-        mu = 1.0 / cmath.sqrt(beta * delta)
-        return tag, ((0.0, 1.0 / delta), (mu, 0.0))
-    # E4 regions
-    if spec.family in ("M5", "M6"):
-        return tag, ((1.0, 0.0), (0.0, beta))
-    return tag, ((0.0, 1.0), (gamma, 0.0))
-
-
-def check_dynamics_witness(spec: ChainFamilySpec, s: float, t: float) -> float:
-    """Homomorphism residual of the stored closed-form witness at (s, t);
-    exact (up to roundoff) when the region table is right."""
-    tag, S = dynamics_witness(spec, s, t)
-    A = family_matrix(spec, s, t)
-    if S is None:
-        return 0.0 if A.is_zero() else float("inf")
-    B = canonical_matrix(AlgebraClass(COMPLEX, tag))
-    return homomorphism_residual(B, A, S)
-
-
 # --- property diagrams ----------------------------------------------------------
 
 OUT_OF_DOMAIN = "out_of_domain"
@@ -577,12 +536,6 @@ class PropertyDiagram:
         dt = (tmax - tmin) / nt
         return ([smin + (i + 0.5) * ds for i in range(ns)],
                 [tmin + (j + 0.5) * dt for j in range(nt)])
-
-    def cell_centers(self):
-        ss, ts = self.axes()
-        for j, t in enumerate(ts):
-            for i, s in enumerate(ss):
-                yield i, j, s, t
 
     def in_property(self, tag: str) -> bool:
         if self.property_tag == "evolution-algebra":
@@ -725,7 +678,7 @@ def load_config(path) -> dict:
         return edges
 
     def tolerance(v):
-        if not float(number(v)) >= 0:  # NaN fails this too
+        if not 0 <= float(number(v)) < math.inf:  # NaN fails this too
             raise ValueError(v)
         return float(v)
 

@@ -109,11 +109,6 @@ def _label(tag: str, params) -> str:
     return f"{tag}({', '.join(_fmt_scalar(p) for p in params)})"
 
 
-def n_params(field: str, tag: str) -> int:
-    """The number of parameters of a valid class."""
-    return _N_PARAMS[field][tag]
-
-
 def _fmt_scalar(z: complex) -> str:
     def f(x: float) -> str:
         return repr(int(x)) if x == int(x) and abs(x) < 1e15 else repr(x)
@@ -169,10 +164,6 @@ class BasisChange:
         det = ad - bc
         if not abs(det) > DET_TOL * (abs(ad) + abs(bc)):
             raise ValueError(f"basis change is singular within relative {DET_TOL}: det={det}")
-
-    @property
-    def det(self) -> complex:
-        return _det2(self.entries)
 
     def inverse(self) -> "BasisChange":
         return BasisChange(_inv2(self.entries))
@@ -505,8 +496,8 @@ def classify_with_witness(A: StructureMatrix, field: str | None = None, *,
     E0 decision, which needs no basis change)."""
     if A.dim != 2:
         raise DimensionMismatchError(f"classification supports dimension 2 only, got {A.dim}")
-    if not tol >= 0:  # NaN fails this too
-        raise ValueError(f"tolerance must be non-negative, got {tol!r}")
+    if not 0 <= tol < math.inf:  # NaN fails this too
+        raise ValueError(f"tolerance must be non-negative and finite, got {tol!r}")
     field = field or A.field
     if (field == REAL and A.field != REAL
             and any(z.imag != 0 for row in A.entries for z in row)):
@@ -677,8 +668,8 @@ def classify_tags(entries, tol: float = DEFAULT_TOL) -> list:
     other than E1 or E2, a start that would need the polish and every near tie
     are left undecided.
     """
-    if not tol >= 0:  # NaN fails this too
-        raise ValueError(f"tolerance must be non-negative, got {tol!r}")
+    if not 0 <= tol < math.inf:  # NaN fails this too
+        raise ValueError(f"tolerance must be non-negative and finite, got {tol!r}")
     A = np.asarray(entries, dtype=complex).reshape(-1, 2, 2)
     tags = np.full(len(A), None, dtype=object)
     with np.errstate(all="ignore"):

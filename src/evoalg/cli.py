@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import io
+import math
 import os
 import sys
 
@@ -39,8 +40,8 @@ def _resolve(value, *fallbacks):
 
 def _tolerance(text: str) -> float:
     tol = float(text)
-    if not tol >= 0:  # NaN fails this too
-        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+    if not 0 <= tol < math.inf:  # NaN fails this too; float("1e400") is inf
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
     return tol
 
 
@@ -109,10 +110,6 @@ def _csv_text(header, rows) -> str:
 
 def cmd_classify(args) -> int:
     A = read_matrix_file(args.matrix, args.field)
-    if A.dim != 2:
-        print(f"error: classification needs a 2x2 matrix, got {A.dim}x{A.dim}",
-              file=sys.stderr)
-        return INPUT_ERROR
     cls, witness = classify_with_witness(A, args.field, tol=_resolve(args.tol, 1e-9))
     print(f"class: {cls.label()}")
     if witness is not None:

@@ -260,7 +260,7 @@ def rb_components(a, R, weight) -> list:
     `a` is the structure matrix and `R` the row matrix of P.  Only +, - and *
     are used and sums start from their first term, so the entries may be
     complex numbers, Poly values or (for R) ComplexLanes.  Nothing is
-    validated; see rb_residual_general.
+    validated; see rb_residual.
     """
     n = len(R)
     coords, rest = range(n), range(1, n)
@@ -311,12 +311,6 @@ def rb_jacobian_rows(a, R, weight) -> list:
     return rows
 
 
-def rb_jacobian(A, R, weight) -> np.ndarray:
-    """rb_jacobian_rows for complex entries, as an (m, n*n) complex array."""
-    a = A.entries if isinstance(A, StructureMatrix) else A
-    return np.array(rb_jacobian_rows(a, R, weight), dtype=complex)
-
-
 def _checked_components(A: StructureMatrix, rows, weight) -> list:
     n = A.dim
     rows = tuple(tuple(complex(z) for z in r) for r in rows)
@@ -330,27 +324,21 @@ def _checked_components(A: StructureMatrix, rows, weight) -> list:
     return comps
 
 
-def rb_residual_general(A: StructureMatrix, rows, weight: complex):
-    """Residual of the weight-`weight` Rota-Baxter identity for the map with
-    row matrix `rows`, evaluated on all basis pairs.
+def rb_residual(A: StructureMatrix, R: RotaBaxterOperator):
+    """Residual of the Rota-Baxter identity of R, evaluated on all basis pairs.
 
     Returns an n x n grid of coordinate tuples; entry (i,j) is
     P(e_i)P(e_j) - P(e_i P(e_j) + P(e_i) e_j + weight e_i e_j).  Pairs are
     evaluated for i <= j and mirrored, which keeps the grid symmetric and
     bit-reproducible.  Raises DimensionMismatchError on a wrong operator
-    shape and ValueError on a non-finite operator entry or residual.
+    shape and ValueError on a non-finite residual.
     """
     n = A.dim
-    comps = _checked_components(A, rows, weight)
+    comps = _checked_components(A, R.entries, R.weight)
     grid: list[list] = [[None] * n for _ in range(n)]
     for p, (i, j) in enumerate(rb_pairs(n)):
         grid[i][j] = grid[j][i] = tuple(comps[p * n:(p + 1) * n])
     return tuple(tuple(row) for row in grid)
-
-
-def rb_residual(A: StructureMatrix, R: RotaBaxterOperator):
-    """Rota-Baxter residual grid for a weight-0/1 operator; see rb_residual_general."""
-    return rb_residual_general(A, R.entries, R.weight)
 
 
 def rb_residual_norm(A: StructureMatrix, R: RotaBaxterOperator) -> float:
@@ -386,13 +374,6 @@ def parse_complex(token: str) -> complex:
 def format_complex(z: complex) -> str:
     sign = "+" if z.imag >= 0 else "-"
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
-
-
-def format_matrix(A: StructureMatrix) -> str:
-    lines = [str(A.dim)]
-    for row in A.entries:
-        lines.append(" ".join(format_complex(z) for z in row))
-    return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text: str, field: str = COMPLEX) -> StructureMatrix:

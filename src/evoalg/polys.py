@@ -82,16 +82,6 @@ class Poly:
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for _, c in self.terms)
 
-    def evaluate(self, values: dict[str, complex]) -> complex:
-        out = 0j
-        for mono, coeff in self.terms:
-            v = coeff
-            for name, e in zip(self.variables, mono):
-                if e:
-                    v *= values[name] ** e
-            out += v
-        return out
-
     def sign_normalized(self, tol: float = 0.0) -> "Poly":
         """Flip the overall sign so the leading (lowest exponent-tuple)
         coefficient has (re, im) lexicographically positive.  Zero terms below

@@ -50,10 +50,10 @@ ALGEBRAS = ("E1", "E2", "E3", "E4", "E5", "E6")  # the algebras the catalog cove
 
 
 # --- catalog ------------------------------------------------------------------
-# Each family is one row of the text catalog_text prints (README, "Catalog
-# rows"): family id, row id, matrix, algebra parameters ("x = ..." names one
-# for the conditions), conditions ("L != R", checked per branch when they use
-# the branch variable), branch rule (one +-sqrt(z), cbrt(z) or
+# Each family is one row of text in _ROWS (README, "Catalog rows"): family
+# id, row id, matrix, algebra parameters ("x = ..." names one for the
+# conditions), conditions ("L != R", checked per branch when they use the
+# branch variable), branch rule (one +-sqrt(z), cbrt(z) or
 # roots(c_n, ..., c_0)) and an unevaluated note.  Weight and algebra come
 # from the family id; the free parameters are the letters of the matrix and
 # algebra parameters but the branch variable, alphabetically.  Formulas use ^,
@@ -249,8 +249,6 @@ class RboFamily:
     def sample_params(self, rng: random.Random) -> dict:
         """Draw admissible free parameters from the complex box [-2,2]^2
         (at most 200 draws)."""
-        if not self.free_params:
-            return {}
         for _ in range(200):
             p = {
                 name: complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
@@ -288,38 +286,6 @@ def catalog(algebra: str, weight: int) -> list[RboFamily]:
     if weight not in (0, 1):
         raise ValueError("weight must be 0 or 1")
     return [f for f in _ALL_FAMILIES if f.algebra == algebra and f.weight == weight]
-
-
-def catalog_rows(weight: int) -> list[str]:
-    seen = []
-    for f in _ALL_FAMILIES:
-        if f.weight == weight and f.row_id not in seen:
-            seen.append(f.row_id)
-    return seen
-
-
-def catalog_text(weight: int | None = None) -> str:
-    """Structured text export of the catalog: each family's row of text."""
-    lines = []
-    for f in _ALL_FAMILIES:
-        if weight is not None and f.weight != weight:
-            continue
-        items = f.algebra_text.split(", ") if f.algebra_text else []
-        named = ", ".join(item for item in items if " = " in item)
-        lines += [
-            f"family: {f.family_id}",
-            f"  row: {f.row_id}",
-            f"  algebra: {f.algebra}" + (f"({', '.join(i.split(' = ')[0] for i in items)})"
-                                         if items else "") + (f" with {named}" if named else ""),
-            f"  weight: {f.weight}",
-            f"  free parameters: {', '.join(f.free_params) or '(none)'}",
-            f"  matrix: {f.template}" + (f" with {f.branch_text}" if f.branch_text else ""),
-        ]
-        if f.conditions_text:
-            lines.append(f"  conditions: {f.conditions_text}")
-        if f.note:
-            lines.append(f"  note: {f.note}")
-    return "\n".join(lines) + "\n"
 
 
 # --- verification ---------------------------------------------------------------
@@ -395,15 +361,6 @@ def _block_norms(fam: RboFamily, insts) -> np.ndarray:
         R, ap = insts[k]
         norms[k] = rb_residual_norm_general(algebra_matrix(fam.algebra, ap), R, fam.weight)
     return norms
-
-
-def verify_table(weight: int, param_samples: int = 200, seed: int = 0,
-                 tol: float = 1e-9) -> list[FamilyReport]:
-    out = []
-    for fam in _ALL_FAMILIES:
-        if fam.weight == weight:
-            out.append(verify_family(fam, param_samples, seed, tol))
-    return out
 
 
 # --- rejected candidates ---------------------------------------------------------
@@ -598,14 +555,6 @@ class DerivedSystem:
     variables: tuple[str, ...]
     equations: tuple[SystemEquation, ...]
     tautologies: tuple[tuple[tuple[int, int], int], ...]
-
-    def normalized_terms(self, tol: float = 1e-12):
-        """Set of sign-normalized coefficient dictionaries; two systems match
-        when these sets are equal."""
-        out = set()
-        for e in self.equations:
-            out.add(e.poly.sign_normalized(tol).terms)
-        return out
 
 
 def symbolic_algebra(tag: str):

@@ -59,6 +59,25 @@ def golden_poly(line: str, variables) -> Poly:
     return _function(src)({v: Poly.var(variables, v) for v in variables})
 
 
+def poly_value(poly: Poly, values: dict) -> complex:
+    """The value of `poly` at the variable values `values` (name -> number),
+    term by term from the coefficients."""
+    out = 0j
+    for mono, coeff in poly.terms:
+        v = coeff
+        for name, e in zip(poly.variables, mono):
+            if e:
+                v *= values[name] ** e
+        out += v
+    return out
+
+
+def normalized_terms(system, tol: float = 1e-12) -> set:
+    """The set of sign-normalized coefficient tuples of a derived system's
+    equations; two systems match when these sets are equal."""
+    return {e.poly.sign_normalized(tol).terms for e in system.equations}
+
+
 def per_cell_diagram(spec, window, resolution, tol=1e-9):
     """The cells of a property diagram, one classify_dynamics call per cell
     centre: the loop `cea.property_diagram` ran before it was batched, kept

@@ -9,7 +9,8 @@ import time
 
 import numpy as np
 
-from evoalg.core import StructureMatrix, rb_components, rb_jacobian, rb_residual, RotaBaxterOperator
+from evoalg.core import (StructureMatrix, rb_components, rb_jacobian_rows, rb_residual,
+                         RotaBaxterOperator)
 from evoalg.classify2d import classify, is_E4_shape
 from evoalg.cea import (
     ChainFamilySpec,
@@ -22,16 +23,16 @@ from evoalg.numerics import complex_jacobian_to_real
 from evoalg.rotabaxter import (
     P_MINUS,
     P_PLUS,
+    _ALL_FAMILIES,
     algebra_matrix,
-    catalog_rows,
     derive_system,
     search,
     symbolic_algebra,
     verify_exclusions,
-    verify_table,
+    verify_family,
 )
 
-from conftest import brute_force_rb_residual, golden_poly, random_complex_matrix
+from conftest import brute_force_rb_residual, golden_poly, normalized_terms, random_complex_matrix
 
 SM = StructureMatrix.from_rows
 
@@ -81,13 +82,13 @@ def test_criterion_1_full_table_verification():
     t0 = time.perf_counter()
     failures = []
     n_fams = 0
-    for weight in (0, 1):
-        for rep in verify_table(weight, param_samples=200, seed=0, tol=1e-9):
-            n_fams += 1
-            if not rep.passed:
-                failures.append(rep.summary())
+    for fam in _ALL_FAMILIES:
+        rep = verify_family(fam, param_samples=200, seed=0, tol=1e-9)
+        n_fams += 1
+        if not rep.passed:
+            failures.append(rep.summary())
     elapsed = time.perf_counter() - t0
-    rows0, rows1 = len(catalog_rows(0)), len(catalog_rows(1))
+    rows0, rows1 = (len({f.row_id for f in _ALL_FAMILIES if f.weight == w}) for w in (0, 1))
     ok = not failures and rows0 == 8 and rows1 == 16 and elapsed < 30.0
     _line(1, ok, f"{n_fams} families over {rows0}+{rows1} rows in {elapsed:.1f}s")
     assert rows0 == 8
@@ -115,7 +116,7 @@ def test_criterion_2_derived_system_fidelity():
                 poly = golden_poly(line, system.variables).sign_normalized(0.0)
                 if poly.terms:  # tautologies like a*c = a*c normalize away
                     want.add(poly.terms)
-            got = system.normalized_terms(0.0)
+            got = normalized_terms(system, 0.0)
             if got != want:
                 mismatches.append((tag, weight))
     # the dropped-tautology log records the trivial slots
@@ -315,7 +316,8 @@ def test_criterion_8_numerical_hygiene():
                 out[1::2] = [z.imag for z in comps]
                 return out
 
-            J = complex_jacobian_to_real(rb_jacobian(A, unpack(x0), weight))
+            J = complex_jacobian_to_real(
+                np.array(rb_jacobian_rows(A.entries, unpack(x0), weight)))
             J_fd = np.empty_like(J)
             for k in range(8):
                 dx = np.zeros(8)

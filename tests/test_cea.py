@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import random
@@ -5,7 +6,8 @@ import random
 import pytest
 
 from evoalg import cea
-from evoalg.core import EvoalgError, StructureMatrix
+from evoalg.core import COMPLEX, EvoalgError, StructureMatrix
+from evoalg.classify2d import AlgebraClass, canonical_matrix, homomorphism_residual
 from evoalg.exprlang import DomainEvalError, parse_expr
 from evoalg.cea import (
     FAMILIES,
@@ -13,7 +15,6 @@ from evoalg.cea import (
     ChainFamilySpec,
     ConstraintViolation,
     OutOfDomainError,
-    check_dynamics_witness,
     classify_dynamics,
     expected_dynamics_class,
     family_matrix,
@@ -154,6 +155,21 @@ def test_spec_validation():
         mk("M2", {"sigma": "s"}, {"a": -1.0})
     with pytest.raises(ValueError):
         mk("M0", {"rho": "s"})
+    # an infinite threshold leaves only the zero region (M5) or only the
+    # live region (M2) inside any window, so a check passes vacuously
+    for build, message in [
+        (lambda: mk("M2", {"sigma": "s"}, {"C": 1.0}), "M2 needs thresholds ['a'], got ['C']"),
+        (lambda: mk("M2", {"sigma": "s"}, {"a": math.inf}),
+         "threshold a must be finite, got inf"),
+        (lambda: mk("M5", {"Phi": "exp(t)"}, {"C": math.inf}),
+         "threshold C must be finite, got inf"),
+        (lambda: mk("M5", {"Phi": "exp(t)"}, {"C": -math.inf}),
+         "threshold C must be > 0, got -inf"),
+        (lambda: mk("M5", {"Phi": "exp(t)"}, {"C": math.nan}), "threshold C must be > 0, got nan"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_verify_ck_m1_passes():
@@ -284,6 +300,12 @@ def test_verify_cantor_examples():
     assert not verify_cantor(CantorDelta.cutoff(1.0, "exp(t)/exp(s)"), "cantor", 1000, 0).passed
     with pytest.raises(ValueError):
         verify_cantor("0", "unknown")
+    with pytest.raises(OutOfDomainError,
+                       match=r"^\(s=0\.0, t=1\.0\) not covered by the step solution$"):
+        CantorDelta.step(2.0)(0.0, 1.0)
+    with pytest.raises(OutOfDomainError,
+                       match=r"^\(s=1\.0, t=1\.0\) not covered by the cutoff solution$"):
+        CantorDelta.cutoff(1.0, "s+t")(1.0, 1.0)
 
 
 def test_verify_cantor_needs_samples():
@@ -338,6 +360,51 @@ def test_classify_dynamics_m8_sigma_split():
     assert classify_dynamics(spec, 2.5, 4.0).tag == "E0"  # s >= C
 
 
+def _dynamics_witness(spec, s, t):
+    """Closed-form basis change realizing the expected class at (s, t).
+
+    Returns (tag, S) where S maps the canonical algebra of `tag` onto the
+    family's algebra (rows of S are the images of the canonical basis), or
+    (tag, None) for the zero algebra where any invertible map works.
+    """
+    tag = expected_dynamics_class(spec, s, t, eps=0.0)
+    if tag is None:
+        raise OutOfDomainError(f"(s={s}, t={t}) is out of domain for {spec.family}")
+    A = family_matrix(spec, s, t)
+    (_, beta), (gamma, delta) = A.entries
+    if tag == "E0":
+        return tag, None
+    if tag == "E1":
+        if spec.family in ("M1", "M2"):
+            return tag, ((0.0, 1.0 / delta), (1.0, 0.0))
+        # M3/M4 shape [[0,0],[gamma,delta]]
+        return tag, ((gamma / delta**2, 1.0 / delta), (1.0, 0.0))
+    if tag == "E2":
+        mu = 1.0 / cmath.sqrt(beta * delta)
+        return tag, ((0.0, 1.0 / delta), (mu, 0.0))
+    # E4 regions
+    if spec.family in ("M5", "M6"):
+        return tag, ((1.0, 0.0), (0.0, beta))
+    return tag, ((0.0, 1.0), (gamma, 0.0))
+
+
+def _check_dynamics_witness(spec, s, t) -> float:
+    """Homomorphism residual of the closed-form witness at (s, t); exact (up
+    to roundoff) when the region table is right."""
+    tag, S = _dynamics_witness(spec, s, t)
+    A = family_matrix(spec, s, t)
+    if S is None:
+        return 0.0 if A.is_zero() else float("inf")
+    B = canonical_matrix(AlgebraClass(COMPLEX, tag))
+    return homomorphism_residual(B, A, S)
+
+
+def _cells(d):
+    """(i, j, s, t) for each cell of a diagram, row by row."""
+    ss, ts = d.axes()
+    return [(i, j, s, t) for j, t in enumerate(ts) for i, s in enumerate(ss)]
+
+
 def test_dynamics_witnesses_exact():
     rng = random.Random(5)
     specs = [
@@ -359,7 +426,7 @@ def test_dynamics_witnesses_exact():
             tag = expected_dynamics_class(spec, s, t, eps=1e-9)
             if tag is None:
                 continue
-            res = check_dynamics_witness(spec, s, t)
+            res = _check_dynamics_witness(spec, s, t)
             assert res < 1e-18, (spec.family, s, t, res)
             assert classify_dynamics(spec, s, t).tag == tag
             checked += 1
@@ -369,7 +436,7 @@ def test_dynamics_witnesses_exact():
 def test_property_diagram_m5():
     spec = mk("M5", {"Phi": "exp(t)"}, {"C": 2.0})
     d = property_diagram(spec, "E4", (0, 4, 0, 4), 64)
-    for i, j, s, t in d.cell_centers():
+    for i, j, s, t in _cells(d):
         tag = d.cells[j][i]
         if s > t:
             assert tag == "out_of_domain"
@@ -384,7 +451,7 @@ def test_property_diagram_m5():
 def test_property_diagram_always_evolution_algebra():
     spec = mk("M4", {"g": "t"}, {"a": 2.5})
     d = property_diagram(spec, "evolution-algebra", (0.1, 4, 0.1, 4), 16)
-    for i, j, s, t in d.cell_centers():
+    for i, j, s, t in _cells(d):
         tag = d.cells[j][i]
         if tag not in ("out_of_domain", "error"):
             assert d.in_property(tag)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from evoalg.core import EvoalgError, StructureMatrix
 from evoalg.classify2d import (
+    _N_PARAMS,
     AlgebraClass,
     BasisChange,
     UnclassifiableError,
@@ -24,7 +25,6 @@ from evoalg.classify2d import (
     find_isomorphism,
     homomorphism_residual,
     is_E4_shape,
-    n_params,
     rescale_permute,
 )
 
@@ -233,7 +233,7 @@ _GRID = st.integers(-12, 12).map(lambda k: k / 8)  # parameters on a 1/8 grid
 @st.composite
 def _canonical_classes(draw, field, tag):
     num = st.builds(complex, _GRID, _GRID) if field == "complex" else _GRID.map(complex)
-    params = tuple(draw(num) for _ in range(n_params(field, tag)))
+    params = tuple(draw(num) for _ in range(_N_PARAMS[field][tag]))
     if len(params) == 2:
         assume(abs(1 - params[0] * params[1]) >= 0.2)  # away from 1 - xy = 0
     return AlgebraClass(field, tag, params)
@@ -692,6 +692,9 @@ _NAN, _INF = math.nan, math.inf
      "basis change is singular within relative 1e-12: det=(nan+nanj)"),
     (lambda: BasisChange(((1e200, 1), (1, 1e200))),
      "basis change is singular within relative 1e-12: det=(inf+0j)"),
+    # find_isomorphism
+    (lambda: find_isomorphism(SM([[1, 0], [0, 0]]), SM([[1, 0], [0, 0]], "real")),
+     "field modes differ: complex vs real"),
 ])
 def test_validator_errors_are_pinned(build, message):
     # each validator's error type and message, and which fault wins when
@@ -745,12 +748,23 @@ def test_classify_wrong_dimension():
 
     with pytest.raises(DimensionMismatchError):
         classify(SM([[1]]), "complex")
+    A3, A2 = SM([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), SM([[0, 1], [0, 0]])
+    for call, message in [
+        (lambda: classify(A3), "classification supports dimension 2 only, got 3"),
+        (lambda: is_E4_shape(A3), "E4 shape test needs dim 2, got 3"),
+        (lambda: find_isomorphism(A2, A3), "isomorphism search supports dimension 2 only"),
+        (lambda: find_isomorphism(A3, A2), "isomorphism search supports dimension 2 only"),
+    ]:
+        with pytest.raises(DimensionMismatchError) as err:
+            call()
+        assert str(err.value) == message
 
 
-@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
 def test_classify_rejects_negative_or_nan_tol(tol):
-    # with tol < 0 the zero matrix skipped the E0 test and matched the E4 shape
-    with pytest.raises(ValueError):
+    # with tol < 0 the zero matrix skipped the E0 test and matched the E4
+    # shape; with tol = inf every matrix is E0
+    with pytest.raises(ValueError, match="tolerance must be non-negative"):
         classify_with_witness(SM([[0, 0], [0, 0]]), "complex", tol=tol)
 
 
@@ -958,7 +972,8 @@ def test_classify_tags_decides_plain_chain_matrices():
 
 
 def test_classify_tags_validates_like_classify():
-    with pytest.raises(ValueError, match="tolerance must be non-negative"):
-        classify_tags([((0, 1), (0, 0))], math.nan)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+            classify_tags([((0, 1), (0, 0))], tol)
     assert classify_tags([((math.inf, 0), (0, 0))]) == [None]
     assert classify_tags([]) == []

@@ -53,6 +53,11 @@ def test_classify_parse_error(tmp_path, capsys):
     m = write_matrix(tmp_path, "m.txt", "2\nbogus entries here\n0+0i 0+0i\n")
     code, _, err = run(capsys, "classify", m)
     assert code == 1 and "error" in err
+    # a matrix of another dimension is refused by the classifier itself
+    m = write_matrix(tmp_path, "m3.txt", "3\n0+0i 1+0i 0+0i\n" + "0+0i 0+0i 0+0i\n" * 2)
+    code, out, err = run(capsys, "classify", m)
+    assert (code, out) == (1, "")
+    assert err == "error: classification supports dimension 2 only, got 3\n"
 
 
 def test_classify_missing_file(capsys):
@@ -213,6 +218,9 @@ def test_rbo_systems_unknown(capsys):
 
 
 _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "exp(t)"}}
+_M2 = {"schema_version": 1, "family": "M2", "functions": {"sigma": "s"}, "thresholds": {"a": 2.5}}
+_M5 = {"schema_version": 1, "family": "M5", "functions": {"Phi": "exp(t)"},
+       "thresholds": {"C": 2.0}}
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -266,6 +274,17 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
     (["rbo", "search", "--algebra", "E0", "--params", "1", "--weight", "0"], None),
     (["cea", "diagram", "CONFIG"], {"schema_version": 1, "family": "M0",
                                     "window": [-1e308, 1e308, -1e308, 1e308]}),
+    (["cea", "verify", "CONFIG"], dict(_M2, thresholds={"a": math.inf})),
+    (["cea", "diagram", "CONFIG"], dict(_M2, thresholds={"a": math.inf})),
+    (["cea", "verify", "CONFIG"], dict(_M5, thresholds={"C": math.inf})),
+    (["cea", "diagram", "CONFIG"], dict(_M5, thresholds={"C": math.inf})),
+    (["--tol", "inf", "classify", "CONFIG"], "2\n1+0i 2+0i\n3+0i 1+0i\n"),
+    (["--tol", "1e400", "classify", "CONFIG"], "2\n1+0i 2+0i\n3+0i 1+0i\n"),
+    (["--tol", "inf", "rbo", "verify", "--algebra", "E1", "--weight", "0", "--samples", "5"],
+     None),
+    (["cea", "verify", "CONFIG"], dict(_M5, tolerance=math.inf)),
+    (["cea", "diagram", "CONFIG"], dict(_M5, tolerance=math.inf)),
+    (["classify", "CONFIG"], "3\n0+0i 1+0i 0+0i\n0+0i 0+0i 0+0i\n0+0i 0+0i 0+0i\n"),
 ], ids=["unknown-command", "search-weight-7", "verify-weight-5", "verify-weight-abc",
         "rbo-verify-samples-0", "cea-verify-samples-0", "config-list", "config-window-int",
         "config-seed-list", "config-function-int", "config-functions-list",
@@ -278,7 +297,10 @@ _M1 = {"schema_version": 1, "family": "M1", "functions": {"rho": "s", "phi": "ex
         "verify-tolerance-str", "diagram-tolerance-str", "verify-schema-true",
         "diagram-schema-true", "verify-t_max-str", "verify-seed-str", "verify-window-empty",
         "verify-resolution-negative", "verify-t_max-0.1", "verify-t_max-0", "verify-t_max-neg",
-        "diagram-t_max-nan", "search-E0-params", "diagram-window-width-overflows"])
+        "diagram-t_max-nan", "search-E0-params", "diagram-window-width-overflows",
+        "verify-M2-threshold-inf", "diagram-M2-threshold-inf", "verify-M5-threshold-inf",
+        "diagram-M5-threshold-inf", "tol-inf", "tol-1e400", "rbo-verify-tol-inf",
+        "verify-tolerance-inf", "diagram-tolerance-inf", "classify-3x3"])
 def test_input_errors_exit_1(capsys, tmp_path, argv, config):
     # every bad input is reported on one error: line with exit 1, never a
     # traceback or argparse's exit 2 (which would read as "unclassifiable")
@@ -310,16 +332,20 @@ def _number(value):
 
 def _never_valid(key, value):
     """True when `value` can never be right for `key`: a JSON type the key
-    never takes, or a window, resolution or t_max that no command can draw."""
-    if key in ("seed", "samples", "tolerance"):
+    never takes, a window, resolution or t_max that no command can draw, or a
+    tolerance or threshold that is not finite."""
+    if key in ("seed", "samples"):
         return not _number(value)
+    if key == "tolerance":
+        return not (_number(value) and 0 <= value < math.inf)
     if key == "t_max":  # s ~ U(0.1, t_max/3) needs t_max >= 0.3
         return not (_number(value) and math.isfinite(value) and value >= 0.3)
     if key in ("family", "property"):
         return not isinstance(value, str)
     if key in ("functions", "thresholds"):
         if isinstance(value, dict):
-            return key == "thresholds" and not all(map(_number, value.values()))
+            return key == "thresholds" and not all(_number(v) and 0 < v < math.inf
+                                                   for v in value.values())
         return bool(value)
     if key == "window":
         return not (isinstance(value, list) and len(value) == 4

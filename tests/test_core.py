@@ -14,24 +14,22 @@ from evoalg.core import (
     MatrixFormatError,
     RotaBaxterOperator,
     StructureMatrix,
+    _checked_components,
     format_complex,
-    format_matrix,
     lanes_array,
     multiply,
     parse_complex,
     parse_matrix,
     rb_components,
-    rb_jacobian,
     rb_jacobian_rows,
     rb_pairs,
     rb_residual,
-    rb_residual_general,
     rb_residual_norm,
     rb_residual_norm_general,
 )
 from evoalg.rotabaxter import algebra_matrix, derive_system
 
-from conftest import brute_force_rb_residual, random_complex_matrix
+from conftest import brute_force_rb_residual, poly_value, random_complex_matrix
 
 SM = StructureMatrix.from_rows
 E = AlgebraElement
@@ -189,6 +187,8 @@ def test_weight_reduction_property():
 def test_operator_weight_validation():
     with pytest.raises(ValueError):
         RotaBaxterOperator.from_rows([[0, 0], [0, 0]], 2)
+    with pytest.raises(ValueError, match="^operator matrix must be square$"):
+        RotaBaxterOperator.from_rows([[0, 0], [0]], 0)
 
 
 def test_parse_complex_forms():
@@ -204,7 +204,7 @@ def test_parse_complex_forms():
 def test_matrix_file_roundtrip(tmp_path):
     rng = random.Random(17)
     A = SM(random_complex_matrix(rng, 3))
-    text = format_matrix(A)
+    text = "3\n" + "".join(" ".join(map(format_complex, row)) + "\n" for row in A.entries)
     B = parse_matrix(text)
     assert A.entries == B.entries
     p = tmp_path / "m.txt"
@@ -225,6 +225,12 @@ def test_matrix_parse_errors():
         parse_matrix("2\n1+0i\n0+0i 1+0i\n")  # short row
     with pytest.raises(MatrixFormatError):
         parse_matrix("1\nnope\n")
+    with pytest.raises(MatrixFormatError, match="^dimension must be positive, got 0$"):
+        parse_matrix("0\n")
+    # the StructureMatrix fault of a real-mode file becomes a format error
+    with pytest.raises(MatrixFormatError,
+                       match="^real-mode matrix has a nonzero imaginary part$"):
+        parse_matrix("1\n0+1i\n", "real")
 
 
 def test_real_mode_rejects_imaginary():
@@ -250,10 +256,10 @@ def test_format_complex_roundtrip():
 def test_rb_residual_matches_brute_force_any_dim_and_weight(case):
     Ae, Re, weight = case
     n = len(Ae)
-    grid = rb_residual_general(SM(Ae), Re, weight)
+    comps = _checked_components(SM(Ae), Re, weight)
     oracle = brute_force_rb_residual(Ae, Re, weight)
-    worst = max(abs(grid[i][j][k] - oracle[i][j][k])
-                for i in range(n) for j in range(n) for k in range(n))
+    worst = max(abs(comps[n * p + k] - oracle[i][j][k])
+                for p, (i, j) in enumerate(rb_pairs(n)) for k in range(n))
     assert worst <= 1e-12 * rb_term_scale(Ae, Re, weight)
 
 
@@ -268,7 +274,7 @@ def test_rb_residual_rejects_nonfinite_operator(case, bad):
     rows = [list(r) for r in Re]
     rows[pos // n][pos % n] = bad
     with pytest.raises(ValueError):
-        rb_residual_general(SM(Ae), rows, 1)
+        _checked_components(SM(Ae), rows, 1)
     with pytest.raises(ValueError):
         rb_residual_norm_general(SM(Ae), rows, 0)
 
@@ -294,7 +300,7 @@ def test_derive_system_evaluates_to_rb_components(Ae, Re, weight):
     values = {f"r{i + 1}{j + 1}": Re[i][j] for i in range(3) for j in range(3)}
     tol = 1e-12 * rb_term_scale(Ae, Re, weight)
     for eq in system.equations:
-        got = eq.poly.evaluate(values)
+        got = poly_value(eq.poly, values)
         want = comps[index[(eq.pair, eq.coord)]]
         # sign normalization may flip the equation
         assert min(abs(got - want), abs(got + want)) <= tol
@@ -337,7 +343,8 @@ def test_lane_kernel_is_the_scalar_kernel_bit_for_bit(a, a_on_lanes, ops, weight
     for lane, x in enumerate(X):
         R, a_lane = split(x.view(complex).tolist())
         assert comps[lane].tobytes() == np.array(rb_components(a_lane, R, weight)).tobytes()
-        assert jac[lane].tobytes() == rb_jacobian(a_lane, R, weight).tobytes()
+        want = np.array(rb_jacobian_rows(a_lane, R, weight), dtype=complex)
+        assert jac[lane].tobytes() == want.tobytes()
 
 
 # every finite magnitude, subnormals included, and both zeros

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoalg.core import (EvoalgError, StructureMatrix, rb_components, rb_jacobian,
+from evoalg.core import (EvoalgError, StructureMatrix, rb_components, rb_jacobian_rows,
                          rb_residual_norm_general)
 from evoalg.numerics import complex_jacobian_to_real
+from evoalg.polys import Poly
 import evoalg.rotabaxter as rbo
 from evoalg.rotabaxter import (
     P_MINUS,
@@ -21,17 +22,14 @@ from evoalg.rotabaxter import (
     _ALL_FAMILIES,
     algebra_matrix,
     catalog,
-    catalog_rows,
-    catalog_text,
     derive_system,
     search,
     symbolic_algebra,
     verify_exclusions,
     verify_family,
-    verify_table,
 )
 
-from conftest import golden_poly, random_complex_matrix
+from conftest import golden_poly, normalized_terms, poly_value, random_complex_matrix
 
 
 def _by_id(fams, fid):
@@ -39,8 +37,8 @@ def _by_id(fams, fid):
 
 
 def test_catalog_row_counts():
-    assert len(catalog_rows(0)) == 8
-    assert len(catalog_rows(1)) == 16
+    assert len({f.row_id for f in _ALL_FAMILIES if f.weight == 0}) == 8
+    assert len({f.row_id for f in _ALL_FAMILIES if f.weight == 1}) == 16
 
 
 def test_catalog_examples():
@@ -54,6 +52,8 @@ def test_catalog_examples():
     fixed = _by_id(fams, "w1:E5(0,0)")
     R, ap = fixed.instantiate({})[0]
     assert R == ((-1 + 0j, 0j), (0j, 0j)) and ap == (0.0, 0.0)
+    # the caseD y that makes the residual vanish, written as it is evaluated
+    assert "y = c(1-c+2d)/(1+3d+3dd)" in _by_id(fams, "w1:E5:caseD").algebra_text
     with pytest.raises(UnknownAlgebraError):
         catalog("E0", 0)
     with pytest.raises(ValueError):
@@ -256,8 +256,10 @@ def test_case_d_y_alternative_forms():
 
 def test_full_tables_pass():
     for w in (0, 1):
-        for rep in verify_table(w, param_samples=60, seed=2):
-            assert rep.passed, rep.summary()
+        for fam in _ALL_FAMILIES:
+            if fam.weight == w:
+                rep = verify_family(fam, param_samples=60, seed=2)
+                assert rep.passed, rep.summary()
 
 
 def test_e5_x0_sign_sets_agree():
@@ -312,6 +314,8 @@ def test_search_zero_algebra_everything_solves():
     assert len(pts) == 10
     for p in pts:
         assert p.residual == 0.0
+    with pytest.raises(EvoalgError, match="^search supports dimension 2 only$"):
+        search(StructureMatrix.zero(3), 0, starts=10)
 
 
 def test_search_e2_weight0_lines():
@@ -376,7 +380,7 @@ def test_rb_jacobian_matches_finite_differences():
             out[1::2] = [z.imag for z in comps]
             return out
 
-        J = complex_jacobian_to_real(rb_jacobian(A, unpack(x0), weight))
+        J = complex_jacobian_to_real(np.array(rb_jacobian_rows(A.entries, unpack(x0), weight)))
         step = 1e-6
         J_fd = np.empty_like(J)
         for k in range(8):
@@ -400,7 +404,7 @@ def test_derive_system_vs_residual_consistency():
         order = {((1, 1), 1): 0, ((1, 1), 2): 1, ((2, 2), 1): 2, ((2, 2), 2): 3,
                  ((1, 2), 1): 4, ((1, 2), 2): 5}
         for eq in system.equations:
-            got = eq.poly.evaluate(values)
+            got = poly_value(eq.poly, values)
             want = comps[order[(eq.pair, eq.coord)]]
             # sign normalization may flip the equation
             assert min(abs(got - want), abs(got + want)) <= 1e-12 * max(1.0, abs(want))
@@ -431,7 +435,9 @@ def test_derive_system_e6_symbolic_w1():
         "ac = cd + b^2",
     ]
     want = {golden_poly(g, system.variables).sign_normalized(0.0).terms for g in golden}
-    assert system.normalized_terms(0.0) == want
+    assert normalized_terms(system, 0.0) == want
+    with pytest.raises(ValueError, match="^symbolic entries must use the standard variable list$"):
+        derive_system(((Poly.var(("x",), "x"), 0), (0, 0)), 1)
 
 
 def test_derive_system_dimension_3():
@@ -447,24 +453,24 @@ def test_derive_system_dimension_3():
     values = {f"r{i+1}{j+1}": Re[i][j] for i in range(3) for j in range(3)}
     grid = brute_force_rb_residual(Ae, Re, 1)
     for eq in system.equations[:6]:
-        got = eq.poly.evaluate(values)
+        got = poly_value(eq.poly, values)
         want = grid[eq.pair[0] - 1][eq.pair[1] - 1][eq.coord - 1]
         assert min(abs(got - want), abs(got + want)) <= 1e-10 * max(1.0, abs(want))
-
-
-def test_catalog_text_export():
-    text = catalog_text(0)
-    assert "family: w0:E1" in text
-    assert "matrix: [[0, b], [0, d]]" in text
-    # the caseD y that makes the residual vanish, written as it is evaluated
-    assert "y = c(1-c+2d)/(1+3d+3dd)" in catalog_text(1)
 
 
 def test_poly_parser_roundtrip():
     p = golden_poly("b^2 y = a^2 + 2acx", ("a", "b", "c", "d", "x", "y"))
     vals = {"a": 1 + 1j, "b": 2.0, "c": -0.5j, "d": 3.0, "x": 0.25, "y": -2.0}
     want = (2.0**2) * (-2.0) - ((1 + 1j) ** 2 + 2 * (1 + 1j) * (-0.5j) * 0.25)
-    assert abs(p.evaluate(vals) - want) < 1e-12
+    assert abs(poly_value(p, vals) - want) < 1e-12
+    V = ("a", "b")
+    assert str(Poly.const(V, 0)) == "0"
+    assert (str(Poly.from_dict(V, {(0, 0): 1.5 - 2j, (0, 1): -2j, (1, 0): 1j, (2, 0): -0.5 + 1j}))
+            == "(1.5-2*i) + -2*i*b + i*a + (-0.5+1*i)*a^2")
+    with pytest.raises(KeyError, match="unknown variable 'z'"):
+        Poly.var(V, "z")
+    with pytest.raises(ValueError, match="^variable lists differ$"):
+        Poly.var(V, "a") + Poly.var(("a",), "a")
 
 
 def test_search_vs_catalog_e1_to_e4():
