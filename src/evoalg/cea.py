@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import COMPLEX, REAL, EvoalgError, StructureMatrix
+from .core import COMPLEX, REAL, EvoalgError, StructureMatrix, check_tolerance
 from .classify2d import AlgebraClass, _mul2, classify, classify_tags
 from .exprlang import Expr, compile_expr, eval_expr, parse_expr, to_string
 
@@ -285,6 +285,7 @@ def verify_ck(spec, samples: int = 1000, seed: int = 0, tol: float = 1e-9,
     value, an uncovered pair or a non-finite product sends the whole check to
     the per-triple loop, which raises or reports exactly as before.
     """
+    check_tolerance(tol)
     if not callable(spec) and samples >= 1:
         report = _ck_blocks(spec, samples, seed, tol, t_max)
         if report is not None:
@@ -390,6 +391,7 @@ def verify_cantor(delta, equation: str = "cantor", samples: int = 1000, seed: in
     delta(s,tau)delta(tau,t) = 0 ("degenerate")."""
     if equation not in ("cantor", "degenerate"):
         raise ValueError(f"unknown equation {equation!r}")
+    check_tolerance(tol)
     if not callable(delta):
         delta = CantorDelta.from_expr(delta)
 
@@ -678,8 +680,7 @@ def load_config(path) -> dict:
         return edges
 
     def tolerance(v):
-        if not 0 <= float(number(v)) < math.inf:  # NaN fails this too
-            raise ValueError(v)
+        check_tolerance(float(number(v)))
         return float(v)
 
     def t_max(v):

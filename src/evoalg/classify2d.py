@@ -18,18 +18,15 @@ kappa = w.diag(lam).w and lam1*lam2 order the candidates E1, E2, E3 (and the
 real E5) and give each its basis change.  A rank-2 matrix has E5/E6 parameters
 x = a12*a22/a11^2, y = a21*a11/a22^2 when its diagonal is nonzero, and its
 E6/E7 parameter through cube roots of the off-diagonal product otherwise.
-One generator per rank yields these candidates (tag, params, B, start) in
-order, B the canonical matrix to check against: the rank-1 targets are
+One generator per rank yields these candidates (tag, params, B, start, unit)
+in order, B the canonical matrix to check against: the rank-1 targets are
 built once at import, and a rank-2 target is built per candidate from its
 parameters.  One loop in classify_with_witness passes each candidate to
-find_isomorphism, the one check-and-polish step: the start is accepted as a
-witness as it stands, checked on plain rows of complex numbers, or after a
-single Levenberg-Marquardt polish from it (a one-row stack of the lockstep
-loop), the only step that runs through numpy.  A rejected start that meets
-the polish's stop test is not polished, as the polish would return it
-unchanged.  The answer's class and witness are built once.
-No other start is tried, so an input whose closed-form witnesses all fail is
-unclassifiable, as is one whose arithmetic leaves the float range.  The reported
+find_isomorphism, which accepts the start as the witness when it passes the
+witness check, the same test at every scale (_accepts); no numeric search
+runs.  The answer's class and witness are built once.  No other start is
+tried, so an input whose closed-form witnesses all fail is unclassifiable,
+as is one whose arithmetic leaves the float range.  The reported
 parameters are the closed-form ones the witness was checked against.
 Witnesses are invertible basis changes with a quantified homomorphism
 residual.  Since the classification is a complete invariant, find_isomorphism
@@ -48,19 +45,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COMPLEX, REAL, DimensionMismatchError, EvoalgError, StructureMatrix
-from .numerics import complex_jacobian_to_real, levenberg_marquardt
+from .core import (COMPLEX, REAL, DimensionMismatchError, EvoalgError, StructureMatrix,
+                   check_tolerance)
+from .numerics import levenberg_marquardt  # noqa: F401  (perfbench's tracer patches this name)
 
-DEFAULT_TOL = 1e-9           # absolute tolerance of exact-zero structural tests
-ISO_TOL = 1e-18              # acceptance bound on the squared homomorphism residual
-DET_TOL = 1e-12              # basis changes closer than this to singular are rejected
-POLISH_STOP = math.sqrt(ISO_TOL / 12) / 2  # the polish's stop norm on each residual part
+DEFAULT_TOL = 1e-9           # structural tolerance: absolute for E0/E4, else relative to max |a_ij|
+ISO_TOL = 1e-18              # bound on the squared homomorphism residual, at max |a_ij| ~ 1
+DET_TOL = 1e-12              # basis changes closer than this (relative) to singular are rejected
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # primitive cube root of unity
 
 
 class UnclassifiableError(EvoalgError):
-    """No candidate canonical form matched within the search budget."""
+    """No closed-form candidate canonical form passed the witness check."""
 
 
 # {field: {tag: number of parameters}}: the valid classes of each field
@@ -155,15 +152,12 @@ class BasisChange:
     entries: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __post_init__(self):
-        rows = tuple([tuple(map(complex, r)) for r in self.entries])
+        (a, b), (c, d) = self.entries
+        rows = ((complex(a), complex(b)), (complex(c), complex(d)))
         object.__setattr__(self, "entries", rows)
-        # relative to the products that make up det, so the test does not
-        # depend on scale; a NaN determinant fails it too
-        (a, b), (c, d) = rows
-        ad, bc = a * d, b * c
-        det = ad - bc
-        if not abs(det) > DET_TOL * (abs(ad) + abs(bc)):
-            raise ValueError(f"basis change is singular within relative {DET_TOL}: det={det}")
+        if _nonsingular_det(rows) is None:
+            raise ValueError(f"basis change is singular within relative {DET_TOL}: "
+                             f"det={_det2(rows)}")
 
     def inverse(self) -> "BasisChange":
         return BasisChange(_inv2(self.entries))
@@ -246,6 +240,13 @@ def _det2(t) -> complex:
     return t[0][0] * t[1][1] - t[0][1] * t[1][0]
 
 
+def _nonsingular_det(t):
+    """det t, or None where it is 0 within DET_TOL relative to |ad| + |bc| (or NaN)."""
+    (a, b), (c, d) = t
+    p, q = a * d, b * c
+    return p - q if abs(p - q) > DET_TOL * (abs(p) + abs(q)) else None
+
+
 def _inv2(t):
     d = _det2(t)
     if d == 0:
@@ -263,90 +264,28 @@ def _mul2(s, t):
                  for i in (0, 1))
 
 
-# --- isomorphism check and polish --------------------------------------------
-
-
-def _real_entry(z) -> complex:
-    # the imaginary part dropped as numpy's x.real and astype(complex) do
-    return complex(z.real)
-
-
-def _pack(T, complex_mode: bool) -> np.ndarray:
-    # complex128 viewed as float64 interleaves (re, im); real mode keeps re
-    x = np.array(T, dtype=complex).reshape(4)
-    return x.view(float) if complex_mode else x.real
-
-
-def _unpack(x: np.ndarray, complex_mode: bool):
-    z = (x.view(complex) if complex_mode else x.astype(complex)).tolist()
-    return ((z[0], z[1]), (z[2], z[3]))
-
-
-# The polish is a one-row stack: x is (1, n), the results (1, m) and
-# (1, m, n).  The real-mode arrays are contiguous copies: numpy's matmul
-# takes another summation order on a strided view, and the polish would
-# change its bits.
-def _residual_vec(A, B, x, complex_mode: bool) -> np.ndarray:
-    r = np.array(_hom_components(A.entries, B.entries, _unpack(x[0], complex_mode)))
-    return (r.view(float) if complex_mode else r.real.copy())[None]
-
-
-def _jacobian_vec(A, B, x, complex_mode: bool) -> np.ndarray:
-    J = _jac_complex(A, B, _unpack(x[0], complex_mode))
-    return (complex_jacobian_to_real(J) if complex_mode else J.real.copy())[None]
-
-
-def _jac_complex(A, B, T) -> np.ndarray:
-    """d(component)/d(T_pq) as a 6x4 complex matrix; components ordered as in
-    _hom_components, unknowns ordered T00, T01, T10, T11."""
-    a, b, t = A.entries, B.entries, T
-    J = np.zeros((6, 4), dtype=complex)
-    row = 0
-    for i in (0, 1):
-        for k in (0, 1):
-            for p in (0, 1):
-                for q in (0, 1):
-                    col = 2 * p + q
-                    val = 0j
-                    if q == k:
-                        val += a[i][p]
-                    if p == i:
-                        val -= 2.0 * t[i][q] * b[q][k]
-                    J[row, col] = val
-            row += 1
-    for k in (0, 1):
-        for q in (0, 1):
-            J[row, 0 * 2 + q] = -t[1][q] * b[q][k]
-            J[row, 1 * 2 + q] = -t[0][q] * b[q][k]
-        row += 1
-    return J
+# --- isomorphism check ----------------------------------------------------------
 
 
 def find_isomorphism(A: StructureMatrix, B: StructureMatrix, start=None):
     """An algebra isomorphism from A onto B, or None.
 
     With a start (a 2x2 basis change, row i the image of e_i), the start is
-    accepted as it stands when it passes the witness check, which runs on
-    plain rows of complex numbers (in real mode their imaginary parts are
-    dropped).  Otherwise one Levenberg-Marquardt polish runs from it as a
-    one-row stack, the only step that goes through numpy, and the result is
-    checked again; a start whose residual components have every real and
-    imaginary part within POLISH_STOP would come back unchanged, so it gives
-    None without one.  The polish minimizes the homomorphism residual alone;
-    the check's determinant test rejects a result that ends near a singular
-    map.
+    the answer when it passes the witness check, which runs on plain rows of
+    complex numbers (in real mode their imaginary parts are dropped), and
+    None otherwise; nothing searches near it.
     Without a start, A and B are classified with their witnesses, and the
     classification is a complete invariant: different tags give None, and the
     start is T_A * T_B^-1 (the identity when both are E0).  An input that is
     unclassifiable raises UnclassifiableError rather than claiming that no
     isomorphism exists.  A returned BasisChange has homomorphism residual
-    (sum of squared coordinates over basis pairs) below ISO_TOL.
+    (sum of squared coordinates over basis pairs) below ISO_TOL * 2^4e, with
+    2^e the least power of two above max |a_ij| (see _accepts).
     """
     if A.dim != 2 or B.dim != 2:
         raise DimensionMismatchError("isomorphism search supports dimension 2 only")
     if A.field != B.field:
         raise ValueError(f"field modes differ: {A.field} vs {B.field}")
-    complex_mode = A.field == COMPLEX
     if start is None:
         cls_a, w_a = classify_with_witness(A)
         cls_b, w_b = classify_with_witness(B)
@@ -359,36 +298,31 @@ def find_isomorphism(A: StructureMatrix, B: StructureMatrix, start=None):
                           for row in _mul2(w_a.entries, ((s, -q), (-r, p))))
 
     (a, b), (c, d) = start
-    entry = complex if complex_mode else _real_entry
+    entry = complex if A.field == COMPLEX else (lambda z: complex(z.real))
     T = ((entry(a), entry(b)), (entry(c), entry(d)))
-    if _accepts(A, B, T):
-        return BasisChange(T)
-    # the polish would return this start unchanged; a NaN part still polishes
-    if all(abs(part) <= POLISH_STOP for z in _hom_components(A.entries, B.entries, T)
-           for part in (z.real, z.imag)):
-        return None
-    with np.errstate(all="ignore"):  # a polish that overflows is rejected below
-        x, _, _ = levenberg_marquardt(
-            lambda x: _residual_vec(A, B, x, complex_mode),
-            lambda x: _jacobian_vec(A, B, x, complex_mode),
-            _pack(T, complex_mode)[None], stop_norm=POLISH_STOP)
-    T = _unpack(x[0], complex_mode)
     return BasisChange(T) if _accepts(A, B, T) else None
 
 
-INV_TOL = 1e-9  # residual bound on the inverse witness
+INV_TOL = 1e-9  # residual bound on the inverse witness, at max |a_ij| ~ 1
 
 
 def _accepts(A, B, T) -> bool:
+    """The witness check, the same test at every scale: T is invertible
+    (relative DET_TOL) and a homomorphism from A to the canonical B both ways.
+    With e the frexp exponent of max |a_ij|, the residual times 2^-4e (the
+    inverse one times 2^2e) is exactly that of A / 2^e, B and T / 2^e, whose
+    entries are below 1; a scaled residual beyond float range raises OverflowError."""
     # A near-singular T can sit within ISO_TOL of a genuine but non-invertible
     # homomorphism; demanding that the inverse map is a homomorphism as well
-    # rejects those (its residual blows up as 1/det).  A determinant that
-    # overflowed is refused as well, since BasisChange would refuse it.
-    a, b = A.entries, B.entries
-    d = _det2(T)
-    if not cmath.isfinite(d) or abs(d) <= DET_TOL or _residual(a, b, T) >= ISO_TOL:
+    # rejects those (its residual blows up as 1/det), so it is tested first.
+    # The determinant test is BasisChange's: every accepted T makes one.
+    d = _nonsingular_det(T)
+    if d is None:
         return False
-    return _residual(b, a, _inv_rows(T, d)) < INV_TOL
+    e = math.frexp(A.maxabs())[1]
+    a, b = A.entries, B.entries
+    return (math.ldexp(_residual(b, a, _inv_rows(T, d)), 2 * e) < INV_TOL
+            and math.ldexp(_residual(a, b, T), -4 * e) < ISO_TOL)
 
 
 # --- rank-1 invariants and closed-form starting points -------------------------
@@ -417,10 +351,10 @@ def _rank1_data(A: StructureMatrix, eps: float):
 
 def _safe_inv_start(S):
     """The inverse of the closed-form basis S as a start, or None when S is
-    nearly singular or a closed form overflowed: a NaN determinant passes
-    `abs(d) < 1e-150`, so finiteness is tested on its own."""
+    singular or a closed form overflowed; the witness check judges a start
+    that is nearly singular, relative to its scale."""
     d = _det2(S)
-    if not cmath.isfinite(d) or abs(d) < 1e-150:
+    if not cmath.isfinite(d) or d == 0:
         return None
     inv = _inv_rows(S, d)
     return inv if all(map(cmath.isfinite, inv[0] + inv[1])) else None
@@ -496,8 +430,7 @@ def classify_with_witness(A: StructureMatrix, field: str | None = None, *,
     E0 decision, which needs no basis change)."""
     if A.dim != 2:
         raise DimensionMismatchError(f"classification supports dimension 2 only, got {A.dim}")
-    if not 0 <= tol < math.inf:  # NaN fails this too
-        raise ValueError(f"tolerance must be non-negative and finite, got {tol!r}")
+    check_tolerance(tol)
     field = field or A.field
     if (field == REAL and A.field != REAL
             and any(z.imag != 0 for row in A.entries for z in row)):
@@ -512,15 +445,16 @@ def classify_with_witness(A: StructureMatrix, field: str | None = None, *,
         shape = is_E4_shape(A, tol)
         if shape.matches:
             return _PLAIN_CLASSES[field, "E4"], _e4_witness(shape)
-        scale = max(1.0, m)
-        rank = 2 if abs(_det2(A.entries)) > tol * scale * scale else 1
+        rank = 2 if abs(_det2(A.entries)) > tol * m * m else 1
         candidates = _rank2_candidates if rank == 2 else _rank1_candidates
-        for tag, params, B, start in candidates(A, field, tol, scale):
+        for tag, params, B, start, unit in candidates(A, field, tol, m):
             try:
                 witness = find_isomorphism(A, B, start)
             except OverflowError:  # a residual beyond float range is no witness
                 continue
             if witness is not None:
+                if unit != 1.0:  # column 1 back to the start as it was built
+                    witness = BasisChange(_scale_column1(witness.entries, unit))
                 if not params:
                     return _PLAIN_CLASSES[field, tag], witness
                 if field == REAL:
@@ -543,9 +477,10 @@ _RANK1_TARGETS[REAL, "E5"] = StructureMatrix(canonical_rows(REAL, "E5"), REAL)
 
 
 def _rank1_candidates(A, field, tol, scale):
-    """(tag, (), B, start) for the rank-1 forms, B the canonical matrix, in
-    the order kappa and lam1*lam2 give them; each start is built only once
-    the ones before it have failed."""
+    """(tag, (), B, start, unit) for the rank-1 forms, B the canonical
+    matrix, in the order kappa and lam1*lam2 give them; each start is built
+    only once the ones before it have failed.  scale is max |a_ij|.  A
+    witness is reported with its column 1 times unit."""
     w, lam = _rank1_data(A, tol * scale)
     kappa = w[0] * w[0] * lam[0] + w[1] * w[1] * lam[1]
     ll = lam[0] * lam[1]
@@ -569,14 +504,24 @@ def _rank1_candidates(A, field, tol, scale):
         else:
             continue
         if start is not None:
-            yield tag, (), _RANK1_TARGETS[field, tag], start
+            yield tag, (), _RANK1_TARGETS[field, tag], start, 1.0
+            k = math.ldexp(1.0, math.frexp(scale)[1]) if tag == "E1" else 1.0
+            if k != 1.0:
+                # E1's automorphisms rescale f2 freely: f2 = e_z / 2^e puts the
+                # start at the input's scale for _accepts; reported as built
+                yield tag, (), _RANK1_TARGETS[field, tag], _scale_column1(start, k), 1 / k
+
+
+def _scale_column1(t, k):
+    """t with column 1 times the power of two k: exact, signed zeros too."""
+    return tuple((t0, complex(t1.real * k, t1.imag * k)) for t0, t1 in t)
 
 
 def _rank2_candidates(A, field, tol, scale):
-    """(tag, params, B, start) for each parameter equivalent of a rank-2
-    matrix, the lexicographically smallest parameters first, B the canonical
-    matrix of the class.  The witness is checked against B, so it verifies
-    the closed-form parameters themselves.  Parameters that name no class
+    """(tag, params, B, start, 1.0) for each parameter equivalent of a
+    rank-2 matrix, the lexicographically smallest parameters first, B the
+    canonical matrix of the class.  The witness is checked against B, so it
+    verifies the closed-form parameters themselves.  Parameters that name no class
     (non-finite, or 1 - xy = 0) are skipped."""
     (a11, a12), (a21, a22) = A.entries
     eps = tol * scale
@@ -603,7 +548,7 @@ def _rank2_candidates(A, field, tol, scale):
             B = StructureMatrix(canonical_rows(field, tag, params), field)
         except ValueError:  # the parameters name no class
             continue
-        yield tag, params, B, start
+        yield tag, params, B, start, 1.0
 
 
 def _cube_roots(z: complex, field: str):
@@ -665,11 +610,10 @@ def classify_tags(entries, tol: float = DEFAULT_TOL) -> list:
     its bound by the relative margin TAG_MARGIN beyond the rounding gap
     between numpy and Python arithmetic, and every value is finite, so a
     decided tag is the tag `classify` returns.  Rank 2, a first candidate
-    other than E1 or E2, a start that would need the polish and every near tie
+    other than E1 or E2, a start that fails the check and every near tie
     are left undecided.
     """
-    if not 0 <= tol < math.inf:  # NaN fails this too
-        raise ValueError(f"tolerance must be non-negative and finite, got {tol!r}")
+    check_tolerance(tol)
     A = np.asarray(entries, dtype=complex).reshape(-1, 2, 2)
     tags = np.full(len(A), None, dtype=object)
     with np.errstate(all="ignore"):
@@ -694,11 +638,13 @@ def _rank1_tags(A, m, tol):
     rows = ((A[:, 0, 0], A[:, 0, 1]), (A[:, 1, 0], A[:, 1, 1]))
     (a, b), (c, d) = rows
     absA = np.abs(A)
-    scale = np.maximum(1.0, m)
+    # the exponent of _accepts: np.hypot gives Python's abs bit for bit (np.abs
+    # need not), so e is math.frexp(A.maxabs())[1] exactly
+    e = np.frexp(np.hypot(A.real, A.imag).max(axis=(1, 2)))[1]
 
     # rank 1, written row_i = lam_i * w (_rank1_data)
     ad, bc = a * d, b * c
-    ok = _below(np.abs(ad - bc), tol * scale * scale, np.abs(ad) + np.abs(bc))
+    ok = _below(np.abs(ad - bc), tol * m * m, np.abs(ad) + np.abs(bc))
     norms = absA.max(axis=2)
     ok &= _apart(norms[:, 0], norms[:, 1])
     p = (norms[:, 0] < norms[:, 1]).astype(int)
@@ -708,7 +654,7 @@ def _rank1_tags(A, m, tol):
     j = (absA[lanes, p, 0] < absA[lanes, p, 1]).astype(int)
     lam_q = r_q[lanes, j] / w[lanes, j]
     fit = lam_q[:, None] * w
-    ok &= _below(np.abs(r_q - fit), (tol * scale)[:, None],
+    ok &= _below(np.abs(r_q - fit), (tol * m)[:, None],
                  np.abs(r_q) + np.abs(fit)).all(axis=1)
     lam = (np.where(p == 0, 1.0 + 0j, lam_q), np.where(p == 0, lam_q, 1.0 + 0j))
     w = (w[:, 0], w[:, 1])
@@ -717,7 +663,7 @@ def _rank1_tags(A, m, tol):
     k0, k1 = w[0] * w[0] * lam[0], w[1] * w[1] * lam[1]
     kappa = k0 + k1
     ll = lam[0] * lam[1]
-    ok &= _above(np.abs(kappa), tol * scale * scale, np.abs(k0) + np.abs(k1))
+    ok &= _above(np.abs(kappa), tol * m * m, np.abs(k0) + np.abs(k1))
     e1 = _below(np.abs(ll), tol, np.abs(ll))
     ok &= e1 | _above(np.abs(ll), tol, np.abs(ll))
 
@@ -727,11 +673,12 @@ def _rank1_tags(A, m, tol):
     ok &= ~e1 | (_apart(absl[0], absl[1]) & _below(np.where(z, absl[1], absl[0]), tol))
     u = (w[0] / kappa, w[1] / kappa)
     mu = 1.0 / (kappa * np.sqrt(ll))
-    v = (np.where(e1, (~z).astype(float), mu * w[1] * lam[1]),
-         np.where(e1, z.astype(float), -mu * w[0] * lam[0]))
+    unit = np.ldexp(1.0, -e)
+    v = (np.where(e1, np.where(z, 0.0, unit), mu * w[1] * lam[1]),
+         np.where(e1, np.where(z, unit, 0.0), -mu * w[0] * lam[0]))
     S = (u, v)
     sp, sq = S[0][0] * S[1][1], S[0][1] * S[1][0]
-    ok &= _above(np.abs(sp - sq), 1e-150, np.abs(sp) + np.abs(sq))
+    ok &= _above(np.abs(sp - sq), 0.0, np.abs(sp) + np.abs(sq))
     T = _inv_rows(S, sp - sq)
     ok &= np.all([np.isfinite(z) for row in T for z in row], axis=0)
     # the entries of T, and of its inverse, are off from the scalar ones by
@@ -742,12 +689,14 @@ def _rank1_tags(A, m, tol):
     cond_kappa = np.maximum(1.0, (np.abs(k0) + np.abs(k1)) / np.abs(kappa))
     gap = 4.0 * cond_kappa * (1.0 + (np.abs(sp) + np.abs(sq)) / np.abs(sp - sq))
 
-    # _accepts(A, B, T) for B the canonical E1 or E2
+    # _accepts(A, B, T) for B the canonical E1 or E2, with its bounds at the
+    # lane's scale (_TAG_SCALES keeps them finite)
     B = ((1.0, 0.0), (np.where(e1, 0.0, 1.0), 0.0))
     tp, tq = T[0][0] * T[1][1], T[0][1] * T[1][0]
-    ok &= _above(np.abs(tp - tq), DET_TOL, gap * (np.abs(tp) + np.abs(tq)))
-    ok &= _residual_below(rows, B, T, ISO_TOL, gap)
-    ok &= _residual_below(B, rows, _inv_rows(T, tp - tq), INV_TOL, gap)
+    size = np.abs(tp) + np.abs(tq)
+    ok &= _above(np.abs(tp - tq), DET_TOL * size, gap * size)
+    ok &= _residual_below(rows, B, T, np.ldexp(ISO_TOL, 4 * e), gap)
+    ok &= _residual_below(B, rows, _inv_rows(T, tp - tq), np.ldexp(INV_TOL, -2 * e), gap)
     tags[ok & e1] = "E1"
     tags[ok & ~e1] = "E2"
     return tags

@@ -40,6 +40,12 @@ REAL = "real"
 COMPLEX = "complex"
 
 
+def check_tolerance(tol) -> None:
+    """Raise ValueError unless 0 <= tol < inf: no other value (NaN neither) gives a verdict."""
+    if not 0 <= tol < cmath.inf:
+        raise ValueError(f"tolerance must be non-negative and finite, got {tol!r}")
+
+
 def _check_finite(z: complex, what: str) -> None:
     if not (cmath.isfinite(z)):
         raise ValueError(f"non-finite {what}: {z!r}")
@@ -83,7 +89,7 @@ class StructureMatrix:
         return len(self.entries)
 
     def maxabs(self) -> float:
-        return max([abs(z) for row in self.entries for z in row])
+        return max(map(abs, sum(self.entries, ())))
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.maxabs() <= tol

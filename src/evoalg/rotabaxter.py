@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (COMPLEX, ComplexLanes, EvoalgError, StructureMatrix, lanes_array,
-                   rb_components, rb_jacobian_rows, rb_pairs, rb_residual_norm_general)
+from .core import (COMPLEX, ComplexLanes, EvoalgError, StructureMatrix, check_tolerance,
+                   lanes_array, rb_components, rb_jacobian_rows, rb_pairs,
+                   rb_residual_norm_general)
 from .classify2d import AlgebraClass, _cube_roots, canonical_matrix, canonical_rows
 from .numerics import _rowdot, complex_jacobian_to_real, levenberg_marquardt
 from .polys import Poly
@@ -314,6 +315,7 @@ def verify_family(fam: RboFamily, param_samples: int = 200, seed: int = 0,
     once, on the same lanes, at the exact (1e-12) bound."""
     if param_samples < 1:
         raise ValueError("param_samples must be >= 1")
+    check_tolerance(tol)
     rng = random.Random((seed * 1_000_003) ^ zlib.crc32(fam.family_id.encode()))
     if fam.isolated:
         insts = fam.instantiate({})
@@ -378,6 +380,7 @@ class ExclusionCheck:
 def verify_exclusions(samples: int = 10, seed: int = 0, tol: float = 1e-12):
     """Confirm that the candidate solutions rejected during the weight-1
     analysis on E5 indeed force xy = 1 (the degenerate-algebra locus)."""
+    check_tolerance(tol)
     rng = random.Random(seed)
     out = []
 
@@ -434,6 +437,7 @@ def search(A: StructureMatrix, weight: int, starts: int = 500, seed: int = 0,
         raise EvoalgError("search supports dimension 2 only")
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
+    check_tolerance(tol)
     a = A.entries
     rng = random.Random(seed)
 
@@ -574,6 +578,7 @@ def derive_system(A, weight: int, tol: float = 1e-12) -> DerivedSystem:
     symbolic_algebra).  Identically zero equations (tautologies, e.g. the
     a*c = a*c slot of E1) are dropped and reported separately.
     """
+    check_tolerance(tol)
     entries = A.entries if isinstance(A, StructureMatrix) else tuple(tuple(r) for r in A)
     n = len(entries)
     if n == 2:

@@ -10,7 +10,7 @@ parameters and the witness entries by repr, or the error it raised.
 input again.
 
 The corpus covers every kind of input whose closed-form witness can fail
-the check and be polished:
+the check:
 
 - the two classify-edge matrices of perfbench;
 - offsets of 1e-14..1e-6 from a boundary: kappa, 1 - xy, a11, the rank,

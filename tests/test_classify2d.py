@@ -4,8 +4,6 @@ import json
 import math
 import pathlib
 import random
-import unittest.mock
-import warnings
 
 import numpy as np
 import pytest
@@ -313,9 +311,8 @@ def test_find_isomorphism_none_between_different_forms(data):
 @pytest.mark.parametrize("rows", [[[1e13, 0], [0, 0]], [[1e12, 0], [0, 1e12]],
                                   [[1e11, 1e11], [0, 1e11]], [[1e13, 1e13], [0, 1e13]]])
 def test_find_isomorphism_large_scale_self_pair(rows):
-    # the witnesses scale with the input, so the inverse of one may sit below
-    # DET_TOL, and a composed start that misses I by an ulp fails the absolute
-    # residual bound at this scale
+    # the witnesses scale with the input, so the inverse of one sits far
+    # below 1, and the composed start's residual, an ulp off, scales with it
     A = SM(rows)
     w = find_isomorphism(A, A)
     assert w is not None
@@ -360,15 +357,9 @@ def _canonical_orbit(cls, rng, n=6):
     return out
 
 
-def test_rank1_closed_form_start_is_a_witness(monkeypatch):
+def test_rank1_closed_form_start_is_a_witness():
     # each rank-1 class is reached by its closed-form basis change as it
-    # stands, so no Levenberg-Marquardt polish may run
-    import evoalg.classify2d as c2d
-
-    def no_polish(*args, **kwargs):
-        raise AssertionError("closed-form start needed a polish")
-
-    monkeypatch.setattr(c2d, "levenberg_marquardt", no_polish)
+    # stands
     rng = random.Random(12)
     pool = [AlgebraClass(field, tag) for field in ("complex", "real")
             for tag in ("E1", "E2", "E3")] + [AlgebraClass("real", "E5")]
@@ -409,14 +400,14 @@ def test_classification_never_reaches_the_multi_start(monkeypatch):
     # call it makes carries its start, on success or on failure
     import evoalg.classify2d as c2d
 
-    check_and_polish = c2d.find_isomorphism
+    check = c2d.find_isomorphism
     calls = []
 
     def no_multi_start(A, B, start=None):
         if start is None:
             raise AssertionError("classification called find_isomorphism without a start")
         calls.append(start)
-        return check_and_polish(A, B, start)
+        return check(A, B, start)
 
     monkeypatch.setattr(c2d, "find_isomorphism", no_multi_start)
     rng = random.Random(13)
@@ -425,7 +416,7 @@ def test_classification_never_reaches_the_multi_start(monkeypatch):
         for A in _canonical_orbit(cls, rng):
             assert classify(A, cls.field).tag == cls.tag, (cls, A.entries)
         # the exact E0 and E4 decisions need no witness check; every other
-        # class is reached through the check-and-polish step
+        # class is reached through the witness check
         assert (len(calls) == 0) == (cls.tag in ("E0", "E4")), (cls, len(calls))
     # near-degenerate inputs, among them the two kinds of the classify-edge
     # benchmark: a stray lower entry over C and a stray diagonal entry over R
@@ -438,110 +429,37 @@ def test_classification_never_reaches_the_multi_start(monkeypatch):
             pass
 
 
-@pytest.mark.parametrize("rows", [[[0, 1e200], [1e-100, 0]], [[1e120, 0], [1e120, 0]]])
-def test_overflowing_closed_form_is_no_start(monkeypatch, rows):
-    # a closed form that overflows to NaN or inf is no start: polishing from
-    # it can only fail, after numpy warnings for every trial
-    import evoalg.classify2d as c2d
-
-    starts = []
-    lm = c2d.levenberg_marquardt
-
-    def counting_lm(residual, jacobian, x0, **kwargs):
-        starts.append(x0)
-        return lm(residual, jacobian, x0, **kwargs)
-
-    monkeypatch.setattr(c2d, "levenberg_marquardt", counting_lm)
+@pytest.mark.parametrize("rows", [[[0, 1e200], [1e-100, 0]], [[1e200, 0], [1e200, 0]]])
+def test_overflowing_closed_form_is_no_start(rows):
+    # a closed form that overflows to NaN or inf (here kappa) is no start
     with pytest.raises(UnclassifiableError):
         classify(SM(rows), "complex")
-    assert starts == []
 
 
-def test_near_singular_start_is_not_polished(monkeypatch):
-    # kappa ~ 1.8e-24 puts E3 first; its closed form is singular to within
-    # |det| ~ 9e-37 and already a homomorphism within the polish's stop
-    # norm, so no polish runs and the determinant test rejects it; E1's
-    # closed form is then the witness as it stands
+@pytest.mark.parametrize("rows, tag", [([[1e100, 0], [0, 0]], "E1"),
+                                       ([[1e120, 0], [1e120, 0]], "E2")])
+def test_far_scaled_closed_form_start_is_a_witness(rows, tag):
+    # the start's determinant scales as 1 / max|a_ij|^2 (about 1e-200 and
+    # 1e-240 here): only the check's relative determinant test judges it
+    A = SM(rows)
+    cls, w = classify_with_witness(A, "complex")
+    assert cls.tag == tag
+    assert homomorphism_residual(A, canonical_matrix(cls), w) == 0
+
+
+def test_near_singular_start_is_refused():
+    # kappa ~ 1.8e-24 puts E3 first; its closed form has |det| ~ 9e-37 but
+    # is not singular relative to its entries, and its inverse is no
+    # homomorphism, which the check tests first; E1's closed form is then
+    # the witness as it stands
     import evoalg.classify2d as c2d
 
-    calls = []
-    lm = c2d.levenberg_marquardt
-
-    def counting_lm(residual, jacobian, x0, **kwargs):
-        calls.append(x0)
-        return lm(residual, jacobian, x0, **kwargs)
-
-    monkeypatch.setattr(c2d, "levenberg_marquardt", counting_lm)
     A = SM([[1.3468605077866173e-12, -2.5906837124019626], [0, 0]], "real")
     cls, witness = classify_with_witness(A, "real")
     w, lam = c2d._rank1_data(A, c2d.DEFAULT_TOL)
     kappa = w[0] * w[0] * lam[0] + w[1] * w[1] * lam[1]
     assert cls == AlgebraClass("real", "E1")
     assert witness.entries == c2d._start_E1(w, lam, kappa, c2d.DEFAULT_TOL)
-    assert calls == []
-
-
-# the classes that classification reaches through a closed-form witness
-_WITNESSED = [cls for cls in _POOL if cls.tag not in ("E0", "E4")]
-
-
-def _one_start_check_and_polish(A, B, T):
-    """find_isomorphism's answer for a start T, by the reference one-start
-    loop: T as it stands if it passes the witness check, else the check of
-    the polished T (None when it fails)."""
-    import evoalg.classify2d as c2d
-    from test_numerics import _one_start_lm
-
-    if c2d._accepts(A, B, T):
-        return T
-    cm = A.field == "complex"
-    with np.errstate(all="ignore"):
-        x, _, _ = _one_start_lm(lambda x: c2d._residual_vec(A, B, x[None], cm)[0],
-                                lambda x: c2d._jacobian_vec(A, B, x[None], cm)[0],
-                                c2d._pack(T, cm), stop_norm=c2d.POLISH_STOP)
-    T = c2d._unpack(x, cm)
-    return T if c2d._accepts(A, B, T) else None
-
-
-@settings(max_examples=120, deadline=None)
-@given(cls=st.sampled_from(_WITNESSED), seed=st.integers(0, 2**32 - 1),
-       pick=st.integers(0, 7), zero_map=st.booleans(),
-       factor=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.25, 4096.0))
-def test_polish_skip_gives_the_one_start_answer(cls, seed, pick, zero_map, factor):
-    # closed-form starts for a canonical orbit, and the zero map (a
-    # homomorphism that the determinant test rejects), moved off by a
-    # perturbation whose residual parts are about factor * POLISH_STOP
-    import evoalg.classify2d as c2d
-
-    rng = random.Random(seed)
-    A = _canonical_orbit(cls, rng, 1)[-1]
-    cands = c2d._rank2_candidates if abs(c2d._det2(A.entries)) > 1e-9 else c2d._rank1_candidates
-    cands = list(cands(A, cls.field, c2d.DEFAULT_TOL, max(1.0, A.maxabs())))
-    _, _, B, start = cands[pick % len(cands)]
-    T0 = np.zeros((2, 2), dtype=complex) if zero_map else np.array(start, dtype=complex)
-    E = np.array([[_rand_nonzero(rng) for _ in range(2)] for _ in range(2)])
-    if cls.field == "real":
-        T0, E = T0.real.astype(complex), E.real.astype(complex)
-    cm = cls.field == "complex"
-    J = c2d._jacobian_vec(A, B, c2d._pack(T0.tolist(), cm)[None], cm)[0]
-    slope = np.max(np.abs(J @ c2d._pack(E.tolist(), cm)))
-    T = tuple(map(tuple, (T0 + factor * c2d.POLISH_STOP / slope * E).tolist()))
-
-    calls = []
-    lm = c2d.levenberg_marquardt
-
-    def counting_lm(residual, jacobian, x0, **kwargs):
-        calls.append(x0)
-        return lm(residual, jacobian, x0, **kwargs)
-
-    with unittest.mock.patch.object(c2d, "levenberg_marquardt", counting_lm):
-        got = find_isomorphism(A, B, T)
-    want = _one_start_check_and_polish(A, B, T)
-    assert repr(None if got is None else got.entries) == repr(want)
-    # the polish runs exactly when the start is rejected and the loop's
-    # first stop test fails
-    first = np.max(np.abs(c2d._residual_vec(A, B, c2d._pack(T, cm)[None], cm)))
-    assert len(calls) == (not c2d._accepts(A, B, T) and not first <= c2d.POLISH_STOP)
 
 
 _GOLDEN = pathlib.Path(__file__).parent / "data" / "classify_golden.jsonl"
@@ -559,7 +477,7 @@ def golden_result(field, rows) -> str:
 
 def test_classification_matches_golden():
     # tests/make_classify_golden.py wrote the corpus and its results: edge,
-    # near-boundary, far-scaled and bulk inputs, a quarter of them polished
+    # near-boundary, far-scaled and bulk inputs
     lines = _GOLDEN.read_text().splitlines()
     assert len(lines) > 400
     for line in lines:
@@ -571,10 +489,13 @@ def test_classification_matches_golden():
 def test_classification_sweep_digest_is_pinned():
     # tests/classify_sweep.py at 4 inputs per cell: random, rank-1,
     # zero-pattern and canonical-orbit matrices in both fields at scales
-    # 2^-40..2^40, hashed with label, parameters, witness and error text
+    # 2^-40..2^40, hashed with label, parameters, witness and error text;
+    # every one of them has a class
     from classify_sweep import sweep
 
-    assert sweep(4) == (2592, "3ff128aebd3e5271e87d219bc450010bbc90e92318854363a461c62bfb89add9")
+    count, digest, unclassifiable = sweep(4)
+    assert (count, digest) == (2592, "ddff621a6bdec6ec574043b679526011bf4cd58d36b0e456783edec3291828f3")
+    assert unclassifiable == 0
 
 
 def test_rank2_params_are_the_closed_form(monkeypatch):
@@ -815,27 +736,51 @@ def test_classify_invariant_under_general_natural_basis_change():
 
 
 def test_classify_never_wrong_across_scales():
-    # absolute tolerances bound the workable scale window (roughly 1e-4 to
-    # 1e4 in the entries); outside it classification must degrade to
-    # UnclassifiableError, never to a wrong class
+    # the witness check and the structural tests are relative to the entry
+    # scale, so from 2^-25 (entries well above the tolerance) to 2^60 every
+    # input has its class
     rng = random.Random(5)
     pool = [
         ("E1", AlgebraClass("complex", "E1")),
         ("E2", AlgebraClass("complex", "E2")),
         ("E4", AlgebraClass("complex", "E4")),
         ("E5", AlgebraClass("complex", "E5", (0.4, -0.3))),
+        ("E6", AlgebraClass("complex", "E6", (0.7 - 0.2j,))),
     ]
-    unclassifiable = 0
     for tag, cls in pool:
         A0 = canonical_matrix(cls)
-        for logm in range(-9, 10, 2):
-            m = 10.0 ** logm
+        for k in range(-25, 61, 5):
+            m = 2.0 ** k
             A = rescale_permute(A0, (m * rng.uniform(0.5, 2.0), m * rng.uniform(0.5, 2.0)))
-            try:
-                assert classify(A, "complex").tag == tag
-            except UnclassifiableError:
-                unclassifiable += 1
-    assert unclassifiable > 0  # the envelope is real, and it fails loudly
+            assert classify(A, "complex").tag == tag, (cls, A.entries)
+
+
+_FORMS = [(field, tag) for field, tags in _N_PARAMS.items() for tag in tags]
+
+
+@settings(max_examples=400, deadline=None)
+@given(form=st.sampled_from(_FORMS), params=st.lists(st.integers(-64, 64), min_size=2, max_size=2),
+       k=st.integers(-25, 60), phases=st.lists(st.integers(0, 3), min_size=2, max_size=2),
+       swap=st.booleans())
+def test_classify_is_scale_covariant_on_exact_inputs(form, params, k, phases, swap):
+    # d_i = unit * 2^k scales the entries exactly, so the input is the form
+    # itself at scale 2^k: the same tag, and parameters exactly those of the
+    # form, except the zero-diagonal E6 (complex) and E7 (real), whose
+    # cube root of a rescaled product is not exact
+    field, tag = form
+    n = _N_PARAMS[field][tag]
+    params = [p / 16 for p in params[:n]]
+    assume(n < 2 or params[0] * params[1] != 1)
+    B = canonical_matrix(AlgebraClass(field, tag, params))
+    units = (1, -1, 1j, -1j) if field == "complex" else (1, -1)
+    A = rescale_permute(B, [units[p % len(units)] * 2.0 ** k for p in phases],
+                        (1, 0) if swap else (0, 1))
+    got, want = classify(A, field), classify(B, field)
+    assert got.tag == tag, (A.entries, got)
+    if tag == ("E6" if field == "complex" else "E7"):
+        assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got.params, want.params))
+    else:
+        assert got.params == want.params  # equal values; a zero may change sign
 
 
 def _extreme_entry(rng, field):
@@ -870,6 +815,8 @@ def test_extreme_scales_raise_only_unclassifiable_or_value_errors():
     ("complex", [[1e-289, 0], [1e31, 0]], 1e-9),  # kappa * sqrt(lam1*lam2) underflows to 0
     ("real", [[0, -1e44], [0, 1e-239]], 1e-9),
     ("complex", [[1e-170, 1], [1, 1e-170]], 0.0),  # a nonzero a11 whose square underflows
+    ("complex", [[-3.3160722734604e+77, -9.889918091862919e+155], [0, 0]], 1e-9),
+    ("real", [[-3.3160722734604e+77, -9.889918091862919e+155], [0, 0]], 1e-9),
 ])
 def test_out_of_range_inputs_are_unclassifiable(field, rows, tol):
     with pytest.raises(UnclassifiableError):
@@ -891,16 +838,6 @@ def test_overflowing_determinant_is_no_witness(field, rows):
     except UnclassifiableError:
         return
     assert homomorphism_residual(A, canonical_matrix(cls), w.entries) < 1e-18
-
-
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_overflowing_polish_warns_nothing(field):
-    # the polish from the closed-form start overflows inside numpy
-    rows = [[-3.3160722734604e+77, -9.889918091862919e+155], [0, 0]]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(UnclassifiableError):
-            classify_with_witness(SM(rows, field), field)
 
 
 # --- batched tags --------------------------------------------------------------

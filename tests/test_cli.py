@@ -76,10 +76,10 @@ def test_classify_unclassifiable(tmp_path, capsys):
     ("real", "1.7306051716204005e+130+0i -9.33441516249936e+149+0i\n0+0i 0+0i"),
     ("complex", "1.5e308+1.5e308i 0+0i\n0+0i 0+0i"),
     ("real", "-3.3160722734604e+77+0i -9.889918091862919e+155+0i\n0+0i 0+0i"),
-], ids=["residual-complex", "residual-real", "entry-modulus", "polish-warning"])
+], ids=["residual-complex", "residual-real", "entry-modulus", "residual-far"])
 def test_classify_extreme_scale_exits_cleanly(tmp_path, capsys, field, text):
-    # an overflowing residual or entry modulus, or a polish that overflows
-    # inside numpy: one unclassifiable: line, no traceback and no warning
+    # an overflowing residual or entry modulus: one unclassifiable: line, no
+    # traceback and no warning
     m = write_matrix(tmp_path, "m.txt", f"2\n{text}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

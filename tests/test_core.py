@@ -368,3 +368,36 @@ def test_hypot_is_complex_abs_bit_for_bit(re, im):
         assert lane == math.inf
     else:
         assert float(lane).hex() == want.hex()
+
+
+
+def _tolerance_takers():
+    from evoalg.cea import ChainFamilySpec, verify_cantor, verify_ck
+    from evoalg.classify2d import classify_tags, classify_with_witness
+    from evoalg.rotabaxter import catalog, search, verify_exclusions, verify_family
+
+    m5 = ChainFamilySpec.make("M5", {"Phi": "exp(t)"}, {"C": 2.0})
+    E5 = algebra_matrix("E5", (0.3, 0.2))
+    return {
+        "classify_with_witness": lambda tol: classify_with_witness(SM([[1, 2], [3, 1]]), tol=tol),
+        "classify_tags": lambda tol: classify_tags([((1, 2), (3, 1))], tol),
+        "verify_ck": lambda tol: verify_ck(m5, samples=5, tol=tol),
+        "verify_cantor": lambda tol: verify_cantor("exp(t - s)", samples=5, tol=tol),
+        "verify_family": lambda tol: verify_family(catalog("E5", 0)[0], 5, tol=tol),
+        "search": lambda tol: search(E5, 0, starts=1, tol=tol),
+        "derive_system": lambda tol: derive_system(E5, 0, tol=tol),
+        "verify_exclusions": lambda tol: verify_exclusions(tol=tol),
+    }
+
+
+_TOLERANCE_TAKERS = _tolerance_takers()
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("name", sorted(_TOLERANCE_TAKERS))
+def test_tolerance_takers_refuse_what_they_cannot_honour(name, tol):
+    # an infinite tolerance passes every check, and a NaN or negative one
+    # fails every check: each entry point refuses them before any work
+    with pytest.raises(ValueError, match="tolerance must be non-negative and finite"):
+        _TOLERANCE_TAKERS[name](tol)
+    _TOLERANCE_TAKERS[name](0.0)  # a zero tolerance is valid
