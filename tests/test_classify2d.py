@@ -439,8 +439,9 @@ def test_overflowing_closed_form_is_no_start(rows):
 @pytest.mark.parametrize("rows, tag", [([[1e100, 0], [0, 0]], "E1"),
                                        ([[1e120, 0], [1e120, 0]], "E2")])
 def test_far_scaled_closed_form_start_is_a_witness(rows, tag):
-    # the start's determinant scales as 1 / max|a_ij|^2 (about 1e-200 and
-    # 1e-240 here): only the check's relative determinant test judges it
+    # a closed-form start's determinant scales as 1 / max|a_ij|^2 (about
+    # 1e-240 for E2 here), and only the check's relative determinant test
+    # judges it; E1 at 1e100 keeps the class it had before the check scaled
     A = SM(rows)
     cls, w = classify_with_witness(A, "complex")
     assert cls.tag == tag
