@@ -507,6 +507,16 @@ def test_property_diagram_fallback_matches_the_per_cell_loop(monkeypatch):
             assert d.cells == per_cell_diagram(spec, window, 16, tol), (spec, tol)
 
 
+def test_diagram_sweep_digest_is_pinned():
+    # tests/diagram_sweep.py at two configs per family and 16x16 cells:
+    # M0..M8 with perfbench's coefficient draws, windows across each
+    # threshold, tol 1e-9, 0 and 1e-3, every cell hashed
+    from diagram_sweep import sweep
+
+    cells, _, digest, _ = sweep(2, 16)
+    assert (cells, digest) == (13824, "25636e71b483d8e1b18f2a3c8ad7397e0f43f80cb9995989dcc280649032686d")
+
+
 def test_chain_slots_run_compiled(monkeypatch):
     # with compilation disabled, every report and cell of a spec built before
     # is the same: chain evaluation runs each spec's compiled slots
