@@ -32,9 +32,9 @@ Witnesses are invertible basis changes with a quantified homomorphism
 residual.  Since the classification is a complete invariant, find_isomorphism
 between two arbitrary algebras composes their witnesses.
 
-classify_tags runs the same complex-mode decisions on a stack of matrices
-as numpy arrays and returns only the tags; it leaves every matrix it cannot decide
-with a clear margin to `classify`.
+classify_tags tags a stack of real chain-shaped matrices (zero, or a11 = 0
+with a zero a12, a21 or a22) on numpy arrays by replaying classify's float
+operations on them; it leaves every other matrix to `classify`.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def rescale_permute(A: StructureMatrix, scales, perm=(0, 1)) -> StructureMatrix:
 def _hom_components(a, b, t) -> list[complex]:
     """The six complex components g(e_i e_j) - g(e_i) *_B g(e_j) over pairs
     (1,1), (2,2), (1,2), where g maps A's basis by the rows of T; a, b and t
-    are the entry rows of A, B and T (scalars, or arrays of lanes)."""
+    are the entry rows of A, B and T."""
     (a00, a01), (a10, a11) = a
     (b00, b01), (b10, b11) = b
     (t00, t01), (t10, t11) = t
@@ -255,7 +255,7 @@ def _inv2(t):
 
 
 def _inv_rows(t, d):
-    """adj(t) / d: the inverse of t when d is its determinant; on arrays too."""
+    """adj(t) / d: the inverse of t when d is its determinant."""
     return ((t[1][1] / d, -t[0][1] / d), (-t[1][0] / d, t[0][0] / d))
 
 
@@ -274,33 +274,42 @@ def find_isomorphism(A: StructureMatrix, B: StructureMatrix, start=None):
     the answer when it passes the witness check, which runs on plain rows of
     complex numbers (in real mode their imaginary parts are dropped), and
     None otherwise; nothing searches near it.
+    A returned start has homomorphism residual (sum of squared coordinates
+    over basis pairs) below ISO_TOL * 2^4e, with 2^e the least power of two
+    above max |a_ij| (see _accepts).
     Without a start, A and B are classified with their witnesses, and the
-    classification is a complete invariant: different tags give None, and the
-    start is T_A * T_B^-1 (the identity when both are E0).  An input that is
-    unclassifiable raises UnclassifiableError rather than claiming that no
-    isomorphism exists.  A returned BasisChange has homomorphism residual
-    (sum of squared coordinates over basis pairs) below ISO_TOL * 2^4e, with
-    2^e the least power of two above max |a_ij| (see _accepts).
+    classification is a complete invariant: different tags give None, equal
+    tags decide a class without parameters, and A's witness must also pass
+    the check against B's canonical matrix where the class has parameters.
+    The answer is then T_A * T_B^-1 (the identity when both are E0).  An
+    input that is unclassifiable raises UnclassifiableError rather than
+    claiming that no isomorphism exists.
     """
     if A.dim != 2 or B.dim != 2:
         raise DimensionMismatchError("isomorphism search supports dimension 2 only")
     if A.field != B.field:
         raise ValueError(f"field modes differ: {A.field} vs {B.field}")
-    if start is None:
-        cls_a, w_a = classify_with_witness(A)
-        cls_b, w_b = classify_with_witness(B)
-        if cls_a.tag != cls_b.tag:
-            return None
-        start = ((1, 0), (0, 1))
-        if cls_a.tag != "E0":  # T_A adj(T_B) / det(T_B): exactly I when A == B
-            (p, q), (r, s) = w_b.entries
-            start = tuple(tuple(z / (p * s - q * r) for z in row)
-                          for row in _mul2(w_a.entries, ((s, -q), (-r, p))))
-
-    (a, b), (c, d) = start
     entry = complex if A.field == COMPLEX else (lambda z: complex(z.real))
-    T = ((entry(a), entry(b)), (entry(c), entry(d)))
-    return BasisChange(T) if _accepts(A, B, T) else None
+    if start is not None:
+        (a, b), (c, d) = start
+        T = ((entry(a), entry(b)), (entry(c), entry(d)))
+        return BasisChange(T) if _accepts(A, B, T) else None
+
+    cls_a, w_a = classify_with_witness(A)
+    cls_b, w_b = classify_with_witness(B)
+    if cls_a.tag != cls_b.tag:
+        return None
+    if cls_a.tag == "E0":
+        return BasisChange(((1, 0), (0, 1)))
+    # the check is scaled for a canonical target, so it runs on A's own witness
+    try:
+        if cls_a.params and not _accepts(A, canonical_matrix(cls_b), w_a.entries):
+            return None
+    except OverflowError:  # a residual beyond float range is no witness
+        return None
+    (p, q), (r, s) = w_b.entries  # T_A adj(T_B) / det(T_B): exactly I when A == B
+    return BasisChange(tuple(tuple(entry(z / (p * s - q * r)) for z in row)
+                             for row in _mul2(w_a.entries, ((s, -q), (-r, p)))))
 
 
 INV_TOL = 1e-9  # residual bound on the inverse witness, at max |a_ij| ~ 1
@@ -561,142 +570,60 @@ def _cube_roots(z: complex, field: str):
 
 # --- batched tags ------------------------------------------------------------
 
-TAG_BLOCK = 1024   # matrices per array pass of classify_tags
-TAG_MARGIN = 1e-3  # relative clearance every threshold test of classify_tags needs
-# the gap between numpy's and Python's evaluation of one short formula is
-# below _ROUND times the sum of the magnitudes of its terms
-_ROUND = 64 * np.finfo(float).eps
+TAG_BLOCK = 1024  # matrices per array pass of classify_tags
 # outside this range of max |a_ij| powers of the entries under- or overflow
 _TAG_SCALES = (1e-60, 1e60)
-
-
-def _below(q, bound, terms=0.0):
-    """q <= bound holds for the scalar evaluation as well."""
-    return q + _ROUND * terms <= bound * (1 - TAG_MARGIN)
-
-
-def _above(q, bound, terms=0.0):
-    """q > bound holds for the scalar evaluation as well."""
-    return q - _ROUND * terms > bound * (1 + TAG_MARGIN)
-
-
-def _apart(x, y):
-    """x >= y (x, y >= 0) has the same outcome for the scalar evaluation."""
-    return np.abs(x - y) > _ROUND * (x + y)
-
-
-def _residual_below(a, b, t, bound, gap):
-    """homomorphism_residual < bound holds for the scalar evaluation as well,
-    when each entry of t is off by at most _ROUND * gap relative to its size.
-    Each component is then off by at most _ROUND * gap times the magnitudes
-    of its terms, which the kernel adds up when it runs on |a|, -|b|, |t|."""
-    size = lambda rows, sign=1.0: tuple(tuple(sign * abs(z) for z in row) for row in rows)
-    terms = _hom_components(size(a), size(b, -1.0), size(t))
-    bound_sq = sum((abs(z) + _ROUND * gap * e) ** 2
-                   for z, e in zip(_hom_components(a, b, t), terms))
-    return _below(bound_sq, bound)
+# a rank-1 matrix is tagged only where its smaller live entry is at least this
+# fraction of its larger one; classify's closed-form witness fails only far
+# below it (about 2^-19 with a zero row, 2^-36 with a zero column)
+_TAG_RATIO = 2.0 ** -16
 
 
 def classify_tags(entries, tol: float = DEFAULT_TOL) -> list:
     """The complex-mode class tag of each matrix of a stack of shape
-    (n, 2, 2), or None where the batched tests cannot decide it; callers send
-    those to `classify`.
+    (n, 2, 2), or None where it is not decided here; callers send those to
+    `classify`.
 
-    The tests run in classify_with_witness's order on numpy arrays, TAG_BLOCK
-    matrices at a time: the zero test, the E4 shape, the rank, the rank-1
-    factorization row_i = lam_i * w, the kappa and lam1*lam2 order of the
-    candidates, and the first candidate's closed-form start, which must pass
-    `_accepts` as it stands.  A matrix is decided only where every test clears
-    its bound by the relative margin TAG_MARGIN beyond the rounding gap
-    between numpy and Python arithmetic, and every value is finite, so a
-    decided tag is the tag `classify` returns.  Rank 2, a first candidate
-    other than E1 or E2, a start that fails the check and every near tie
-    are left undecided.
+    Only real matrices of the chain shapes are decided: the zero matrix, and
+    a11 = 0 with a zero a12, a21 or a22.  On real entries classify's complex
+    arithmetic is plain float arithmetic, so the batch replays it, TAG_BLOCK
+    matrices at a time: the zero test, the E4 shape, the rank-1
+    factorization row_i = lam_i * w with its defect, and the kappa and
+    lam1*lam2 tests that put E1 or E2 first.  Only the witness check is not
+    replayed; _TAG_RATIO and _TAG_SCALES keep the decided matrices where it
+    passes.  Any other matrix is left undecided.
     """
     check_tolerance(tol)
-    A = np.asarray(entries, dtype=complex).reshape(-1, 2, 2)
+    A = np.asarray(entries).reshape(-1, 2, 2)
     tags = np.full(len(A), None, dtype=object)
     with np.errstate(all="ignore"):
         for k in range(0, len(A), TAG_BLOCK):
-            block = A[k:k + TAG_BLOCK]
-            m = np.abs(block).max(axis=(1, 2))
-            ok = np.isfinite(block).all(axis=(1, 2))
-            tags[k + np.flatnonzero(ok & _below(m, tol))] = "E0"
-            ok &= _above(m, tol) & (m >= _TAG_SCALES[0]) & (m <= _TAG_SCALES[1])
-            (a, b), (c, d) = block[:, 0].T, block[:, 1].T
-            e4 = (a == 0) & (d == 0) & ((c == 0) | (b == 0))
-            tags[k + np.flatnonzero(ok & e4)] = "E4"
-            lanes = np.flatnonzero(ok & ~e4)
-            if len(lanes):
-                tags[k + lanes] = _rank1_tags(block[lanes], m[lanes], tol)
+            tags[k:k + TAG_BLOCK] = _chain_tags(np.asarray(A[k:k + TAG_BLOCK], dtype=complex), tol)
     return tags.tolist()
 
 
-def _rank1_tags(A, m, tol):
-    """classify_tags past the zero and E4 tests: "E1", "E2" or None."""
+def _chain_tags(A, tol):
+    """classify_tags on one block, a complex array of shape (n, 2, 2)."""
     tags = np.full(len(A), None, dtype=object)
-    rows = ((A[:, 0, 0], A[:, 0, 1]), (A[:, 1, 0], A[:, 1, 1]))
-    (a, b), (c, d) = rows
-    absA = np.abs(A)
-    # the exponent of _accepts: np.hypot gives Python's abs bit for bit (np.abs
-    # need not), so e is math.frexp(A.maxabs())[1] exactly
-    e = np.frexp(np.hypot(A.real, A.imag).max(axis=(1, 2)))[1]
-
-    # rank 1, written row_i = lam_i * w (_rank1_data)
-    ad, bc = a * d, b * c
-    ok = _below(np.abs(ad - bc), tol * m * m, np.abs(ad) + np.abs(bc))
-    norms = absA.max(axis=2)
-    ok &= _apart(norms[:, 0], norms[:, 1])
-    p = (norms[:, 0] < norms[:, 1]).astype(int)
-    lanes = np.arange(len(A))
-    w, r_q = A[lanes, p], A[lanes, 1 - p]
-    ok &= _apart(absA[lanes, p, 0], absA[lanes, p, 1])
-    j = (absA[lanes, p, 0] < absA[lanes, p, 1]).astype(int)
-    lam_q = r_q[lanes, j] / w[lanes, j]
-    fit = lam_q[:, None] * w
-    ok &= _below(np.abs(r_q - fit), (tol * m)[:, None],
-                 np.abs(r_q) + np.abs(fit)).all(axis=1)
-    lam = (np.where(p == 0, 1.0 + 0j, lam_q), np.where(p == 0, lam_q, 1.0 + 0j))
-    w = (w[:, 0], w[:, 1])
-
-    # the candidate order (_rank1_candidates); E3 first is left undecided
-    k0, k1 = w[0] * w[0] * lam[0], w[1] * w[1] * lam[1]
-    kappa = k0 + k1
-    ll = lam[0] * lam[1]
-    ok &= _above(np.abs(kappa), tol * m * m, np.abs(k0) + np.abs(k1))
-    e1 = _below(np.abs(ll), tol, np.abs(ll))
-    ok &= e1 | _above(np.abs(ll), tol, np.abs(ll))
-
-    # the first candidate's start: _start_E1 or _start_E2, then _safe_inv_start
-    absl = (np.abs(lam[0]), np.abs(lam[1]))
-    z = absl[0] > absl[1]
-    ok &= ~e1 | (_apart(absl[0], absl[1]) & _below(np.where(z, absl[1], absl[0]), tol))
-    u = (w[0] / kappa, w[1] / kappa)
-    mu = 1.0 / (kappa * np.sqrt(ll))
-    unit = np.ldexp(1.0, -e)
-    v = (np.where(e1, np.where(z, 0.0, unit), mu * w[1] * lam[1]),
-         np.where(e1, np.where(z, unit, 0.0), -mu * w[0] * lam[0]))
-    S = (u, v)
-    sp, sq = S[0][0] * S[1][1], S[0][1] * S[1][0]
-    ok &= _above(np.abs(sp - sq), 0.0, np.abs(sp) + np.abs(sq))
-    T = _inv_rows(S, sp - sq)
-    ok &= np.all([np.isfinite(z) for row in T for z in row], axis=0)
-    # the entries of T, and of its inverse, are off from the scalar ones by
-    # at most _ROUND * gap relative to their size: the sum kappa = k0 + k1
-    # amplifies the gap of lam by its condition (|k0| + |k1|) / |kappa|,
-    # which u = w / kappa and mu pass on to S, and inverting S amplifies the
-    # gap of S's entries by the condition (|sp| + |sq|) / |det S|
-    cond_kappa = np.maximum(1.0, (np.abs(k0) + np.abs(k1)) / np.abs(kappa))
-    gap = 4.0 * cond_kappa * (1.0 + (np.abs(sp) + np.abs(sq)) / np.abs(sp - sq))
-
-    # _accepts(A, B, T) for B the canonical E1 or E2, with its bounds at the
-    # lane's scale (_TAG_SCALES keeps them finite)
-    B = ((1.0, 0.0), (np.where(e1, 0.0, 1.0), 0.0))
-    tp, tq = T[0][0] * T[1][1], T[0][1] * T[1][0]
-    size = np.abs(tp) + np.abs(tq)
-    ok &= _above(np.abs(tp - tq), DET_TOL * size, gap * size)
-    ok &= _residual_below(rows, B, T, np.ldexp(ISO_TOL, 4 * e), gap)
-    ok &= _residual_below(B, rows, _inv_rows(T, tp - tq), np.ldexp(INV_TOL, -2 * e), gap)
-    tags[ok & e1] = "E1"
-    tags[ok & ~e1] = "E2"
+    ok = np.isfinite(A).all(axis=(1, 2)) & (A.imag == 0).all(axis=(1, 2))
+    (a, b), (c, d) = A.real.transpose(1, 2, 0)
+    m = np.abs(A.real).max(axis=(1, 2))
+    tags[ok & (m <= tol)] = "E0"
+    ok &= (m > tol) & (m >= _TAG_SCALES[0]) & (m <= _TAG_SCALES[1]) & (a == 0)
+    e4 = (d == 0) & ((b == 0) | (c == 0))
+    tags[ok & e4] = "E4"
+    ok &= d != 0
+    # a zero first row: w = (c, d), lam = (0, 1), so kappa = d*d, lam1*lam2 = 0
+    # and E1 comes first
+    e1 = ok & (b == 0) & (d * d > tol * m * m) & (np.abs(d) >= _TAG_RATIO * m)
+    tags[e1] = "E1"
+    # a zero first column: w is the row with the larger entry, and the other
+    # row is ll * w; E2 comes first once kappa and ll are clear of tol
+    first = np.abs(b) >= np.abs(d)
+    big, small = np.where(first, b, d), np.where(first, d, b)
+    ll = small / big
+    kappa = np.where(first, b * b * ll, d * d)
+    e2 = (ok & (c == 0) & (b != 0) & (np.abs(small - ll * big) <= tol * m)
+          & (np.abs(kappa) > tol * m * m) & (np.abs(ll) > tol) & (np.abs(ll) >= _TAG_RATIO))
+    tags[e2] = "E2"
     return tags

@@ -13,7 +13,6 @@ import argparse
 import csv
 import functools
 import io
-import math
 import os
 import sys
 
@@ -21,6 +20,7 @@ from .core import (
     COMPLEX,
     REAL,
     EvoalgError,
+    check_tolerance,
     format_complex,
     read_matrix_file,
 )
@@ -40,8 +40,10 @@ def _resolve(value, *fallbacks):
 
 def _tolerance(text: str) -> float:
     tol = float(text)
-    if not 0 <= tol < math.inf:  # NaN fails this too; float("1e400") is inf
-        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
+    try:
+        check_tolerance(tol)  # float("1e400") is inf
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     return tol
 
 

@@ -319,6 +319,24 @@ def test_find_isomorphism_large_scale_self_pair(rows):
     assert _is_isomorphism(A, A, w)
 
 
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("rows", [[[1.3, 0.7], [0.2, 1.1]], [[1, 2], [2, 4]],
+                                  [[0, 1], [1, 0.5]], [[1, 1], [1, 1]]])
+def test_find_isomorphism_between_scales(field, rows):
+    # B's entries about 1e-6, 1e6 and 1e9 times A's: the map is found in both
+    # orders; the witness check runs only against canonical targets, where
+    # its bounds are scaled for the input
+    A = SM(rows, field)
+    for k in (1e-6, 1e6, 1e9):
+        B = rescale_permute(A, (1.1 * k, 0.9 * k), (1, 0))
+        for X, Y in ((A, B), (B, A)):
+            w = find_isomorphism(X, Y)
+            assert w is not None, (X.entries, Y.entries)
+            t = max(abs(z) for row in w.entries for z in row)
+            size = X.maxabs() * t + t * t * Y.maxabs()
+            assert homomorphism_residual(X, Y, w) < 1e-24 * size * size, (X.entries, Y.entries)
+
+
 def test_find_isomorphism_propagates_unclassifiable():
     # None would claim that no isomorphism exists, which was not found
     A = SM([[0, 3], [1e-12, 0]])
@@ -907,6 +925,40 @@ def test_classify_tags_decides_plain_chain_matrices():
             stack.append(rows)
             want.append(classify(SM(rows, "complex"), "complex").tag)
     assert classify_tags(stack, 1e-9) == want
+
+
+def test_classify_tags_keeps_a_margin_below_its_ratio(monkeypatch):
+    # the zero-row and zero-column chain shapes in both orientations, the
+    # smaller live entry 2^-k times the larger, across _TAG_SCALES: a decided
+    # tag is classify's; from _TAG_RATIO up, every E1 or E2 that the replayed
+    # tests name first is decided; and down to _TAG_RATIO / 4 classify still
+    # returns the tag the replayed tests name first, so the witness check
+    # fails only well below the ratio.  (Where kappa or lam1*lam2 is within
+    # tol, another candidate comes first and classify decides.)
+    import evoalg.classify2d as c2
+
+    shapes = (lambda m, r: ((0, 0), (m, r * m)), lambda m, r: ((0, 0), (r * m, m)),
+              lambda m, r: ((0, m), (0, r * m)), lambda m, r: ((0, r * m), (0, m)))
+    stack, ratios = [], []
+    for k in range(65):
+        for scale in (1e-59, 2.0 ** -100, 3e-7, 1.0, 2.0 ** 90, 9e59):
+            for sign in (1.0, -1.0):
+                stack += [shape(sign * scale, sign * 2.0 ** -k) for shape in shapes]
+                ratios += [2.0 ** -k] * len(shapes)
+    for tol in (1e-9, 0.0, 1e-3, 1e-12, 1.0):
+        tags = classify_tags(stack, tol)
+        monkeypatch.setattr(c2, "_TAG_RATIO", c2._TAG_RATIO / 4)
+        first = classify_tags(stack, tol)
+        monkeypatch.undo()
+        for rows, ratio, tag, named in zip(stack, ratios, tags, first):
+            if named is None and ratio < c2._TAG_RATIO:
+                continue
+            try:
+                want = classify(SM(rows, "complex"), tol=tol).tag
+            except EvoalgError:
+                want = None
+            assert tag in (None, want) and named in (None, want), (rows, tol, tag, named, want)
+            assert tag == named or ratio < c2._TAG_RATIO, (rows, tol)
 
 
 def test_classify_tags_validates_like_classify():

@@ -143,6 +143,19 @@ def test_cea_non_finite_entry(tmp_path, capsys):
                     r"\[triple \(s=.*, tau=.*, t=.*\)\]$", err.strip()), err
 
 
+def test_cea_verify_reads_t_max(tmp_path, capsys):
+    # a valid config t_max bounds the sampled times, as verify_ck's argument
+    from evoalg.cea import ChainFamilySpec, verify_ck
+
+    cfg = tmp_path / "m1.json"
+    cfg.write_text(json.dumps(dict(_M1, samples=200, t_max=3)))
+    code, out, _ = run(capsys, "cea", "verify", str(cfg))
+    spec = ChainFamilySpec.make("M1", _M1["functions"])
+    want = verify_ck(spec, samples=200, t_max=3.0).summary()
+    assert code == 0 and out == f"chapman-kolmogorov M1: {want}\n"
+    assert want != verify_ck(spec, samples=200).summary()
+
+
 def test_cea_verify_bad_config(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text("{oops")
