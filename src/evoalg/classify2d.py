@@ -302,10 +302,7 @@ def find_isomorphism(A: StructureMatrix, B: StructureMatrix, start=None):
     if cls_a.tag == "E0":
         return BasisChange(((1, 0), (0, 1)))
     # the check is scaled for a canonical target, so it runs on A's own witness
-    try:
-        if cls_a.params and not _accepts(A, canonical_matrix(cls_b), w_a.entries):
-            return None
-    except OverflowError:  # a residual beyond float range is no witness
+    if cls_a.params and not _accepts(A, canonical_matrix(cls_b), w_a.entries):
         return None
     (p, q), (r, s) = w_b.entries  # T_A adj(T_B) / det(T_B): exactly I when A == B
     return BasisChange(tuple(tuple(entry(z / (p * s - q * r)) for z in row)
@@ -575,7 +572,8 @@ TAG_BLOCK = 1024  # matrices per array pass of classify_tags
 _TAG_SCALES = (1e-60, 1e60)
 # a rank-1 matrix is tagged only where its smaller live entry is at least this
 # fraction of its larger one; classify's closed-form witness fails only far
-# below it (about 2^-19 with a zero row, 2^-36 with a zero column)
+# below it, where a22 is the smaller entry (from about 2^-19 with a zero row,
+# 2^-36 with a zero column)
 _TAG_RATIO = 2.0 ** -16
 
 
