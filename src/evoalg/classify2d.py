@@ -334,9 +334,12 @@ def _accepts(A, B, T) -> bool:
 # --- rank-1 invariants and closed-form starting points -------------------------
 
 
-def _rank1_data(A: StructureMatrix, eps: float):
-    """Write row_i = lam_i * w for a rank-1 matrix; returns (w, lam).  eps
-    bounds the defect of the factorization (tol times the entry scale)."""
+def _rank1_data(A: StructureMatrix):
+    """Write row_i = lam_i * w for a rank-1 matrix; returns (w, lam).  w is
+    the row with the larger entry m = max |a_ij|, so the other row's defect
+    off lam_i * w is |det| / m: within tol * m, up to rounding, once the rank
+    test has passed where m^2 is a normal float (below, det underflows and
+    the witness check rejects a matrix far from rank 1)."""
     r = A.entries
     norms = [max(map(abs, row)) for row in r]
     p = 0 if norms[0] >= norms[1] else 1
@@ -346,24 +349,7 @@ def _rank1_data(A: StructureMatrix, eps: float):
     lam = [0j, 0j]
     lam[p] = 1.0 + 0j
     lam[q] = r[q][j] / w[j]
-    err = max(abs(r[q][0] - lam[q] * w[0]), abs(r[q][1] - lam[q] * w[1]))
-    if err > eps:
-        raise UnclassifiableError(
-            f"rows are not proportional within tolerance (defect {err:.3g}); "
-            "the input sits near the rank boundary"
-        )
     return w, (lam[0], lam[1])
-
-
-def _safe_inv_start(S):
-    """The inverse of the closed-form basis S as a start, or None when S is
-    singular or a closed form overflowed; the witness check judges a start
-    that is nearly singular, relative to its scale."""
-    d = _det2(S)
-    if not cmath.isfinite(d) or d == 0:
-        return None
-    inv = _inv_rows(S, d)
-    return inv if all(map(cmath.isfinite, inv[0] + inv[1])) else None
 
 
 def _start_E1(w, lam, kappa, tol):
@@ -371,19 +357,17 @@ def _start_E1(w, lam, kappa, tol):
     if abs(lam[z]) > tol or kappa == 0:
         return None
     u = (w[0] / kappa, w[1] / kappa)
-    return _safe_inv_start((u, ((1.0 + 0j, 0j), (0j, 1.0 + 0j))[z]))
+    return _inv2((u, ((1.0 + 0j, 0j), (0j, 1.0 + 0j))[z]))
 
 
-def _start_E2(w, lam, kappa, real_mode):
+def _start_E2(w, lam, kappa):
     ll = lam[0] * lam[1]
     if ll == 0 or kappa == 0:
-        return None
-    if real_mode and ll.real <= 0:
         return None
     mu = 1.0 / (kappa * cmath.sqrt(ll))
     u = (w[0] / kappa, w[1] / kappa)
     v = (mu * w[1] * lam[1], -mu * w[0] * lam[0])
-    return _safe_inv_start((u, v))
+    return _inv2((u, v))
 
 
 def _start_E5_real(w, lam, kappa):
@@ -395,7 +379,7 @@ def _start_E5_real(w, lam, kappa):
     mu = 1.0 / (kappa * math.sqrt(-ll.real))
     u = (mu * w[1] * lam[1], -mu * w[0] * lam[0])
     v = (-w[0] / kappa, -w[1] / kappa)
-    return _safe_inv_start((u, v))
+    return _inv2((u, v))
 
 
 def _start_E3(w, lam):
@@ -407,7 +391,7 @@ def _start_E3(w, lam):
     p = (pm, 0j) if m == 0 else (0j, pm)
     cp = lam[m] * pm * pm
     q = (cp * w[0] - p[0], cp * w[1] - p[1])
-    return _safe_inv_start((p, q))
+    return _inv2((p, q))
 
 
 def _e4_witness(shape: E4Shape):
@@ -487,7 +471,7 @@ def _rank1_candidates(A, field, tol, scale):
     matrix, in the order kappa and lam1*lam2 give them; each start is built
     only once the ones before it have failed.  scale is max |a_ij|.  A
     witness is reported with its column 1 times unit."""
-    w, lam = _rank1_data(A, tol * scale)
+    w, lam = _rank1_data(A)
     kappa = w[0] * w[0] * lam[0] + w[1] * w[1] * lam[1]
     ll = lam[0] * lam[1]
     if abs(kappa) <= tol * scale * scale:
@@ -502,7 +486,7 @@ def _rank1_candidates(A, field, tol, scale):
         if tag == "E1":
             start = _start_E1(w, lam, kappa, tol)
         elif tag == "E2":
-            start = _start_E2(w, lam, kappa, field == REAL)
+            start = _start_E2(w, lam, kappa)
         elif tag == "E3":
             start = _start_E3(w, lam)
         elif field == REAL:  # the real E5, with lam1*lam2 < 0
@@ -586,10 +570,10 @@ def classify_tags(entries, tol: float = DEFAULT_TOL) -> list:
     a11 = 0 with a zero a12, a21 or a22.  On real entries classify's complex
     arithmetic is plain float arithmetic, so the batch replays it, TAG_BLOCK
     matrices at a time: the zero test, the E4 shape, the rank-1
-    factorization row_i = lam_i * w with its defect, and the kappa and
-    lam1*lam2 tests that put E1 or E2 first.  Only the witness check is not
-    replayed; _TAG_RATIO and _TAG_SCALES keep the decided matrices where it
-    passes.  Any other matrix is left undecided.
+    factorization row_i = lam_i * w, and the kappa and lam1*lam2 tests that
+    put E1 or E2 first.  Only the witness check is not replayed; _TAG_RATIO
+    and _TAG_SCALES keep the decided matrices where it passes.  Any other
+    matrix is left undecided.
     """
     check_tolerance(tol)
     A = np.asarray(entries).reshape(-1, 2, 2)
@@ -618,10 +602,9 @@ def _chain_tags(A, tol):
     # a zero first column: w is the row with the larger entry, and the other
     # row is ll * w; E2 comes first once kappa and ll are clear of tol
     first = np.abs(b) >= np.abs(d)
-    big, small = np.where(first, b, d), np.where(first, d, b)
-    ll = small / big
+    ll = np.where(first, d / b, b / d)
     kappa = np.where(first, b * b * ll, d * d)
-    e2 = (ok & (c == 0) & (b != 0) & (np.abs(small - ll * big) <= tol * m)
-          & (np.abs(kappa) > tol * m * m) & (np.abs(ll) > tol) & (np.abs(ll) >= _TAG_RATIO))
+    e2 = (ok & (c == 0) & (b != 0) & (np.abs(kappa) > tol * m * m) & (np.abs(ll) > tol)
+          & (np.abs(ll) >= _TAG_RATIO))
     tags[e2] = "E2"
     return tags

@@ -510,11 +510,25 @@ def test_property_diagram_fallback_matches_the_per_cell_loop(monkeypatch):
 def test_diagram_sweep_digest_is_pinned():
     # tests/diagram_sweep.py at two configs per family and 16x16 cells:
     # M0..M8 with perfbench's coefficient draws, windows across each
-    # threshold, tol 1e-9, 0 and 1e-3, every cell hashed
+    # threshold, tol 1e-9, 0 and 1e-3, every cell hashed; classify_tags
+    # decides every cell
     from diagram_sweep import sweep
 
-    cells, _, digest, _ = sweep(2, 16)
-    assert (cells, digest) == (13824, "25636e71b483d8e1b18f2a3c8ad7397e0f43f80cb9995989dcc280649032686d")
+    cells, undecided, digest, _ = sweep(2, 16)
+    assert (cells, digest) == (13824, "00921d9ab754cc4bc2d78a3a9ca1f5679de84475c80904c2fe0d707cabdb9386")
+    assert undecided == 0
+
+
+def test_exactly_rank1_cells_are_classified_at_tol_zero():
+    # M1's live matrix [[0, b], [0, d]] is exactly rank 1; at tol 0 the
+    # rounding of d/b in the rank-1 factorization makes no cell an error,
+    # in the batch or in the per-cell loop
+    spec = M1("s-1.577", "exp(0.181*t)")
+    window = (0.013, 5.271, 0.458, 4.646)
+    exact = property_diagram(spec, "E2", window, 64, tol=0.0).cells
+    assert not any("error" in row for row in exact)
+    assert exact == property_diagram(spec, "E2", window, 64, tol=1e-9).cells
+    assert exact == per_cell_diagram(spec, window, 64, 0.0)
 
 
 def test_chain_slots_run_compiled(monkeypatch):

@@ -475,7 +475,7 @@ def test_near_singular_start_is_refused():
 
     A = SM([[1.3468605077866173e-12, -2.5906837124019626], [0, 0]], "real")
     cls, witness = classify_with_witness(A, "real")
-    w, lam = c2d._rank1_data(A, c2d.DEFAULT_TOL)
+    w, lam = c2d._rank1_data(A)
     kappa = w[0] * w[0] * lam[0] + w[1] * w[1] * lam[1]
     assert cls == AlgebraClass("real", "E1")
     assert witness.entries == c2d._start_E1(w, lam, kappa, c2d.DEFAULT_TOL)
@@ -896,6 +896,57 @@ def _matrices(tol):
                               st.sampled_from([1.0, -1.0, 1j, -1j]))
     any_rank = st.tuples(st.tuples(x, x), st.tuples(x, x))
     return st.one_of(chain, near_rank1, kappa_cancels, any_rank)
+
+
+def _factorization_defect(r):
+    """max |row_q - lam_q * w| for row_i = lam_i * w, w the row with the
+    larger entry and lam_q read off at w's larger coordinate: the defect test
+    _rank1_data once made against tol * max |a_ij|."""
+    p = 0 if max(map(abs, r[0])) >= max(map(abs, r[1])) else 1
+    w, other = r[p], r[1 - p]
+    j = 0 if abs(w[0]) >= abs(w[1]) else 1
+    lam = other[j] / w[j]
+    return max(abs(other[0] - lam * w[0]), abs(other[1] - lam * w[1]))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_rank_test_bounds_the_factorization_defect(data):
+    # the other row's defect off lam * w is |det| / max|a_ij|, so wherever
+    # classify's rank test says rank 1 the defect is within tol * max|a_ij|
+    # up to rounding, and no separate defect test is needed.  That needs
+    # max|a_ij|^2 to be a normal float: below it the determinant underflows,
+    # the rank test puts any matrix at rank 1, and the witness check must
+    # then reject every rank-1 candidate of one that is far from rank 1
+    import evoalg.classify2d as c2d
+
+    tol = data.draw(st.sampled_from([1e-9, 0.0, 1e-3, 1e-12, 1.0]))
+    x = _SCALED | st.builds(complex, _SCALED, _SCALED)
+    product = st.builds(lambda l0, l1, w0, w1: ((l0 * w0, l0 * w1), (l1 * w0, l1 * w1)),
+                        x, x, x, x)
+    stack = data.draw(st.lists(_matrices(tol) | product, min_size=1, max_size=12))
+    # entries of modulus 1/2..2 at one scale, |det| / max|a_ij|^2 about
+    # tol * 2^j: on both sides of the rank test
+    u = st.builds(lambda v, sign: sign * v, st.floats(0.5, 2.0), st.sampled_from([1, -1, 1j, -1j]))
+    scale = 10.0 ** data.draw(st.integers(-12, 12) | st.integers(-200, -160))
+    r0, r1, lam = scale * data.draw(u), scale * data.draw(u), data.draw(u)
+    stack += [((r0, r1), (lam * r0 * (1 + tol * 2.0 ** j), lam * r1)) for j in range(-4, 7)]
+    factor = c2d._rank1_data
+    for rows in stack:
+        for field in ("complex", "real"):
+            if field == "real":
+                rows = [[complex(z).real for z in r] for r in rows]
+            A, rank1 = SM(rows, field), []
+            with pytest.MonkeyPatch.context() as mp:  # classify factors what it puts at rank 1
+                mp.setattr(c2d, "_rank1_data", lambda M: rank1.append(M) or factor(M))
+                try:
+                    classify(A, field, tol=tol)
+                    raised = False
+                except UnclassifiableError:
+                    raised = True
+            m = A.maxabs()
+            if rank1 and _factorization_defect(A.entries) > tol * m + 2.0 ** -50 * m:
+                assert m < 2.0 ** -511 and raised, (rows, field, tol)
 
 
 @given(data=st.data())
