@@ -550,8 +550,9 @@ class PropertyDiagram:
         lines = ["s,t,class_tag"]
         for t, row in zip(ts, self.cells):
             mid = f"{t!r},"
-            lines.extend([head + mid + tag for head, tag in zip(heads, row)])
-        return "\n".join(lines) + "\n"
+            lines.append("\n".join([head + mid + tag for head, tag in zip(heads, row)]))
+        lines.append("")
+        return "\n".join(lines)
 
     def to_svg(self) -> str:
         cell_px = 8
@@ -567,9 +568,9 @@ class PropertyDiagram:
                  for tag in set().union(*self.cells)}
         for j, row in enumerate(self.cells):
             y = f"{(nt - 1 - j) * cell_px}"  # t grows upward: flip the row index
-            out.extend([head + y + tails[tag] for head, tag in zip(heads, row)])
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
+            out.append("\n".join([head + y + tails[tag] for head, tag in zip(heads, row)]))
+        out.append("</svg>\n")
+        return "\n".join(out)
 
 
 def property_diagram(spec: ChainFamilySpec, property_tag: str,
