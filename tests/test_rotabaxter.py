@@ -353,6 +353,18 @@ def test_search_degenerate_layout_names_no_family():
     assert {p.annotation for p in pts} <= {"trivial-zero", "uncataloged"}
 
 
+def test_annotation_skips_a_family_that_cannot_read_off():
+    # w0:E5:generic reads its parameters off R with a division by R's entry
+    # (its -a^2/b), which the zero operator makes a ZeroDivisionError; the
+    # family is skipped and the zero operator is still named
+    A = algebra_matrix("E5", (0.3, -0.7))
+    generic = next(f for f in catalog("E5", 0) if f.family_id == "w0:E5:generic")
+    zero = ((0j, 0j), (0j, 0j))
+    with pytest.raises(ZeroDivisionError):
+        generic.candidate_matrices((0.3, -0.7), zero)
+    assert rbo._annotator(A, 0)(zero) == "trivial-zero"
+
+
 def test_search_deterministic():
     A = algebra_matrix("E3")
     p1 = search(A, 0, starts=60, seed=5)
