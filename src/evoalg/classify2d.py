@@ -336,10 +336,8 @@ def _accepts(A, B, T) -> bool:
 
 def _rank1_data(A: StructureMatrix):
     """Write row_i = lam_i * w for a rank-1 matrix; returns (w, lam).  w is
-    the row with the larger entry m = max |a_ij|, so the other row's defect
-    off lam_i * w is |det| / m: within tol * m, up to rounding, once the rank
-    test has passed where m^2 is a normal float (below, det underflows and
-    the witness check rejects a matrix far from rank 1)."""
+    the row with the larger entry m = max |a_ij|: the other row's defect is
+    |det| / m, which the rank test bounds by tol * m while m^2 is normal."""
     r = A.entries
     norms = [max(map(abs, row)) for row in r]
     p = 0 if norms[0] >= norms[1] else 1
