@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,8 +126,8 @@ _REGIONS = {
     "before C": lambda s, t, C: (s < C, s >= C),
 }
 
-# the rows of the live matrix of each family, from `ev(slot, time)`; they
-# run on floats and on arrays
+# the rows of the live matrix of each family, from `ev(slot, x)`: x is the
+# time itself (family_matrix) or an index array of times (_slot_values)
 _LIVE = {
     "M0": lambda ev, s, t: ((0.0, 0.0), (0.0, 0.0)),
     "M1": lambda ev, s, t: ((0.0, ev("rho", s) * ev("phi", t)),
@@ -165,36 +166,47 @@ def family_matrix(spec: ChainFamilySpec, s: float, t: float) -> StructureMatrix:
 
 
 def _slot_values(spec: ChainFamilySpec, times):
-    """`ev(slot, x)` for arrays x of values among `times`, as the scalar
-    `spec._eval` gives them (numpy's exp, log and power round differently)
-    and NaN where that raises.  A slot is evaluated once per distinct time,
-    and only at the times some call asks for."""
-    u = np.sort(np.asarray(times, dtype=float), axis=None)
-    u = u[np.r_[True, u[1:] != u[:-1]]]  # np.unique would import numpy.ma, 0.5 MB
+    """`ev(slot, i)` and the index array `i` of `times` (same shape) into
+    their distinct values: `ev` gives the slot's values at those times, as
+    the scalar `spec._eval` gives them (numpy's exp, log and power round
+    differently) and NaN where that raises.  A slot is evaluated once per
+    distinct time, and only at the times some call asks for."""
+    x = np.asarray(times, dtype=float)
+    order = np.argsort(x, axis=None)
+    xs = x.ravel()[order]
+    first = np.r_[True, xs[1:] != xs[:-1]]  # np.unique would import numpy.ma, 0.5 MB
+    u = xs[first]
+    index = np.empty(x.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    nonzero = _FAMILY[spec.family][2]
     vals = {name: np.full(len(u), math.nan) for name in _FAMILY[spec.family][0]}
     done = {name: np.zeros(len(u), dtype=bool) for name in vals}
 
-    def value(name, x):
-        try:
-            return spec._eval(name, x)
-        except EvoalgError:
-            return math.nan
-
-    def ev(name, x):
-        i = np.searchsorted(u, x)
+    def ev(name, i):
         asked = np.zeros(len(u), dtype=bool)
         asked[i] = True
         new = np.flatnonzero(asked & ~done[name])
-        done[name][new] = True
-        vals[name][new] = [value(name, v) for v in u[new].tolist()]
+        if len(new):
+            done[name][new] = True
+            f, got = spec.compiled[name], []
+            for x in u[new].tolist():
+                try:
+                    got.append(f(x, x))
+                except EvoalgError:
+                    got.append(math.nan)
+            got = np.array(got)
+            if name in nonzero:  # spec._eval's ConstraintViolation
+                got[got == 0.0] = math.nan
+            vals[name][new] = got
         return vals[name][i]
 
-    return ev
+    return ev, index.reshape(x.shape)
 
 
-def _family_arrays(spec: ChainFamilySpec, ev, s, t):
-    """family_matrix over arrays of time pairs (s, t): the entries, shape
-    s.shape + (2, 2) and zero off the live pairs, whether each pair is
+def _family_arrays(spec: ChainFamilySpec, ev, s, t, si, ti):
+    """family_matrix over arrays of time pairs (s, t), whose slot values
+    `ev` reads at the indices si and ti (from `_slot_values`): the entries,
+    shape s.shape + (2, 2) and zero off the live pairs, whether each pair is
     covered by a branch, and whether a covered pair fails (a slot it uses
     raised, NaN from `ev`, or an entry is not finite)."""
     f = spec.family
@@ -207,7 +219,7 @@ def _family_arrays(spec: ChainFamilySpec, ev, s, t):
     out = np.zeros(np.shape(s) + (2, 2))
     if live.any():
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, row in enumerate(_LIVE[f](ev, s[live], t[live])):
+            for i, row in enumerate(_LIVE[f](ev, si[live], ti[live])):
                 for j, z in enumerate(row):
                     out[live, i, j] = z
     return out, covered, live & ~np.isfinite(out).all(axis=(-2, -1))
@@ -237,20 +249,38 @@ class CkReport:
 def sample_triples(samples: int, seed: int, t_max: float = 10.0):
     """Seeded triples s < tau < t: s ~ U(0.1, t_max/3), tau ~ U(s+eps,
     2 t_max/3), t ~ U(tau+eps, t_max), with eps = 1e-3.  Raises ValueError
-    unless t_max is finite and >= 0.3: below it the range of s is reversed."""
-    if not (math.isfinite(t_max) and t_max >= 0.3):
-        raise ValueError(f"t_max must be finite and >= 0.3, got {t_max!r}")
+    unless 0.3 <= t_max <= sys.float_info.max / 2: below it the range of s
+    is reversed, above it 2 t_max overflows."""
+    return [tuple(x) for block in _triple_blocks(samples, seed, t_max)
+            for x in block.tolist()]
+
+
+CK_BLOCK = 1024  # triples per array pass of verify_ck
+
+
+def _triple_blocks(samples: int, seed: int, t_max: float):
+    """sample_triples as (n, 3) arrays of CK_BLOCK triples, the last one
+    shorter, drawn lazily from the one generator.  t_max is checked now."""
+    if not 0.3 <= t_max <= sys.float_info.max / 2:
+        raise ValueError(f"t_max must be in [0.3, {sys.float_info.max / 2!r}], got {t_max!r}")
     eps = 1e-3
-    u = random.Random(seed).random
     s_max, tau_max = t_max / 3.0, 2.0 * t_max / 3.0
-    out = []
-    for _ in range(samples):  # rng.uniform(a, b) inlined: a + (b - a) * u()
-        s = 0.1 + (s_max - 0.1) * u()
-        lo = s + eps
-        tau = lo + (tau_max - lo) * u()
-        lo = tau + eps
-        out.append((s, tau, lo + (t_max - lo) * u()))
-    return out
+    draw = iter(random.Random(seed).random, None)  # endless u()
+
+    def blocks():
+        # rng.uniform(a, b) is a + (b - a) * u(); numpy's elementwise +, -
+        # and * round as the scalar float operations do
+        for k in range(0, samples, CK_BLOCK):
+            n = min(CK_BLOCK, samples - k)
+            out = np.fromiter(draw, float, 3 * n).reshape(n, 3)
+            out[:, 0] = 0.1 + (s_max - 0.1) * out[:, 0]
+            lo = out[:, 0] + eps
+            out[:, 1] = lo + (tau_max - lo) * out[:, 1]
+            lo = out[:, 1] + eps
+            out[:, 2] = lo + (t_max - lo) * out[:, 2]
+            yield out
+
+    return blocks()
 
 
 def _sampled_law(violation, samples: int, seed: int, tol: float, t_max: float) -> CkReport:
@@ -260,19 +290,17 @@ def _sampled_law(violation, samples: int, seed: int, tol: float, t_max: float) -
         raise ValueError("samples must be >= 1")
     worst = 0.0
     worst_triple = None
-    for (s, tau, t) in sample_triples(samples, seed, t_max):
-        try:
-            v = violation(s, tau, t)
-        except EvoalgError as e:
-            # name the triple in place: the error keeps its type and fields
-            e.args = (f"{e} [triple (s={s}, tau={tau}, t={t})]",)
-            raise
-        if v > worst:
-            worst, worst_triple = v, (s, tau, t)
+    for block in _triple_blocks(samples, seed, t_max):
+        for (s, tau, t) in block.tolist():
+            try:
+                v = violation(s, tau, t)
+            except EvoalgError as e:
+                # name the triple in place: the error keeps its type and fields
+                e.args = (f"{e} [triple (s={s}, tau={tau}, t={t})]",)
+                raise
+            if v > worst:
+                worst, worst_triple = v, (s, tau, t)
     return CkReport(samples, tol, worst, worst_triple, worst <= tol)
-
-
-CK_BLOCK = 1024  # triples per array pass of verify_ck
 
 
 def verify_ck(spec, samples: int = 1000, seed: int = 0, tol: float = 1e-9,
@@ -305,14 +333,13 @@ def _ck_blocks(spec: ChainFamilySpec, samples, seed, tol, t_max) -> CkReport | N
     per-triple loop.  The product is the loop's float64 arithmetic (its
     complex entries have zero imaginary parts), and np.argmax takes the first
     of equal maxima as the loop's strict > does."""
-    triples = sample_triples(samples, seed, t_max)
     worst, worst_triple = 0.0, None
-    for k in range(0, samples, CK_BLOCK):
-        block = np.array(triples[k:k + CK_BLOCK])
-        s, tau, t = block.T
-        ev = _slot_values(spec, block)
+    for block in _triple_blocks(samples, seed, t_max):
+        ev, index = _slot_values(spec, block)
+        (s, tau, t), (i, j, k) = block.T, index.T
         (m1, c1, f1), (m2, c2, f2), (m3, c3, f3) = (
-            _family_arrays(spec, ev, x, y) for x, y in ((s, tau), (tau, t), (s, t)))
+            _family_arrays(spec, ev, *pair)
+            for pair in ((s, tau, i, j), (tau, t, j, k), (s, t, i, k)))
         if not (c1 & c2 & c3).all() or (f1 | f2 | f3).any():
             return None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -320,9 +347,9 @@ def _ck_blocks(spec: ChainFamilySpec, samples, seed, tol, t_max) -> CkReport | N
             v = np.abs(left - m3).max(axis=(1, 2))
         if not np.isfinite(v).all():
             return None
-        i = int(np.argmax(v))
-        if v[i] > worst:
-            worst, worst_triple = float(v[i]), triples[k + i]
+        w = int(np.argmax(v))
+        if v[w] > worst:
+            worst, worst_triple = float(v[w]), tuple(block[w].tolist())
     return CkReport(samples, tol, worst, worst_triple, worst <= tol)
 
 
@@ -598,7 +625,8 @@ def property_diagram(spec: ChainFamilySpec, property_tag: str,
     grid = PropertyDiagram(property_tag, (smin, smax, tmin, tmax), (ns, nt), ())
     ss, ts = grid.axes()
     s, t = np.meshgrid(ss, ts)
-    entries, covered, failed = _family_arrays(spec, _slot_values(spec, ss + ts), s, t)
+    ev, index = _slot_values(spec, ss + ts)
+    entries, covered, failed = _family_arrays(spec, ev, s, t, *np.meshgrid(index[:ns], index[ns:]))
     cells = np.empty(s.shape, dtype=object)
     cells.fill(OUT_OF_DOMAIN)  # np.full would store a copy of the string per cell
     cells[failed] = ERROR

@@ -2,7 +2,9 @@ import cmath
 import json
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 
 from evoalg import cea
@@ -198,6 +200,39 @@ def test_verify_ck_families_m1_to_m4():
         assert report.passed, f"{spec.family}: {report.summary()}"
 
 
+def test_chain_law_table_is_exact():
+    # the region rules and live matrices on s < tau < t = 1, 2, 3, with the
+    # slot values as sympy functions of symbols: M0..M4 satisfy
+    # M[s,t] = M[s,tau] M[tau,t] identically at every threshold, M5..M8 only
+    # M[s,tau] M[tau,t] = 0, with M[s,t] nonzero at some threshold
+    import sympy
+
+    times = dict(zip((1.0, 2.0, 3.0), sympy.symbols("s tau t", positive=True)))
+    ev = lambda name, x: sympy.Function(name)(times[x])
+
+    def matrix(family, s, t, x):
+        region = cea._FAMILY[family][3]
+        if region:
+            live, zero = cea._REGIONS[region](s, t, x)
+            assert live != zero, (family, s, t, x)  # covered by exactly one branch
+            if zero:
+                return sympy.zeros(2, 2)
+        return sympy.Matrix(cea._LIVE[family](ev, s, t))
+
+    for family in FAMILIES:
+        laws, nonzero = [], False
+        for x in (0.5 * k for k in range(1, 8)):
+            left = matrix(family, 1.0, 2.0, x) * matrix(family, 2.0, 3.0, x)
+            right = matrix(family, 1.0, 3.0, x)
+            laws.append((left.applyfunc(sympy.cancel).is_zero_matrix,
+                         (left - right).applyfunc(sympy.cancel).is_zero_matrix))
+            nonzero |= not right.is_zero_matrix
+        if family in ("M0", "M1", "M2", "M3", "M4"):
+            assert all(ck for _, ck in laws), family
+        else:
+            assert all(zero for zero, _ in laws) and nonzero, family
+
+
 def test_verify_ck_mutant_fails():
     # M1 with the (2,2) entry shifted by 0.1
     def mutant(s, t):
@@ -266,8 +301,8 @@ def test_verify_ck_errors_match_the_per_triple_loop(monkeypatch):
         assert batched == loop and batched[0] is kind, batched
         assert "[triple (s=" in batched[1]
     # no sampled triple leaves the branches; s = 0 does for M2
-    monkeypatch.setattr(cea, "sample_triples", lambda n, seed, t_max: [(1.0, 1.5, 2.0)] * 3
-                        + [(0.0, 1.0, 2.0)] + [(1.0, 1.5, 2.0)] * (n - 4))
+    monkeypatch.setattr(cea, "_triple_blocks", lambda n, seed, t_max: [np.array(
+        [(1.0, 1.5, 2.0)] * 3 + [(0.0, 1.0, 2.0)] + [(1.0, 1.5, 2.0)] * (n - 4))])
     batched, loop = _ck_both(mk("M2", {"sigma": "s"}, {"a": 2.5}), 10, 0)
     assert batched == loop and batched[0] is OutOfDomainError, batched
 
@@ -519,6 +554,17 @@ def test_diagram_sweep_digest_is_pinned():
     assert undecided == 0
 
 
+def test_verify_sweep_digest_is_pinned(monkeypatch):
+    # tests/verify_sweep.py at two configs per family, scaled down to blocks
+    # of 16 triples and sample counts around them: every check on the block
+    # path and through the per-triple loop, reports and errors hashed
+    from verify_sweep import sweep
+
+    monkeypatch.setattr(cea, "CK_BLOCK", 16)
+    assert sweep(2, (1, 15, 16, 17, 40)) == (
+        720, "e2bce6da57abc3e3b2bd331274036241d915564fb9d73d2eb312fdb3d8b2dd92")
+
+
 def test_exactly_rank1_cells_are_classified_at_tol_zero():
     # M1's live matrix [[0, b], [0, d]] is exactly rank 1; at tol 0 the
     # rounding of d/b in the rank-1 factorization makes no cell an error,
@@ -583,9 +629,11 @@ def test_load_config_roundtrip(tmp_path):
     assert out["seed"] == 7 and out["samples"] == 500
 
 
-@pytest.mark.parametrize("t_max", [0.1, 0, -5, math.nan, math.inf])
+@pytest.mark.parametrize("t_max", [0.1, 0, -5, math.nan, math.inf,
+                                   1e308, 1.7976931348623157e308])
 def test_t_max_below_the_range_of_s_is_refused(t_max, tmp_path):
-    # s ~ U(0.1, t_max/3) is a range only from t_max = 0.3 on
+    # s ~ U(0.1, t_max/3) is a range only from t_max = 0.3 on, and
+    # tau ~ U(s + eps, 2 t_max/3) only up to t_max = float_info.max / 2
     with pytest.raises(ValueError, match="t_max"):
         sample_triples(1, 0, t_max)
     p = tmp_path / "cfg.json"
@@ -593,19 +641,21 @@ def test_t_max_below_the_range_of_s_is_refused(t_max, tmp_path):
     with pytest.raises(EvoalgError, match="t_max"):
         load_config(p)
     assert all(0 < s < tau < t <= 0.3 for s, tau, t in sample_triples(200, 1, 0.3))
+    top = sys.float_info.max / 2
+    assert all(0 < s < tau < t <= top for s, tau, t in sample_triples(200, 1, top))
 
 
-@pytest.mark.parametrize("t_max", [0.3, 10.0, 1e6])
+@pytest.mark.parametrize("t_max", [0.3, 10.0, 1e6, sys.float_info.max / 2])
 def test_sample_triples_are_the_uniform_draws(t_max):
     # the inlined draws give rng.uniform's triples, bit for bit
     for seed in range(5):
         rng = random.Random(seed)
         want = []
-        for _ in range(300):
+        for _ in range(2100):  # three blocks of CK_BLOCK
             s = rng.uniform(0.1, t_max / 3.0)
             tau = rng.uniform(s + 1e-3, 2.0 * t_max / 3.0)
             want.append((s, tau, rng.uniform(tau + 1e-3, t_max)))
-        got = sample_triples(300, seed, t_max)
+        got = sample_triples(2100, seed, t_max)
         assert [tuple(map(float.hex, x)) for x in got] == [tuple(map(float.hex, x)) for x in want]
 
 
