@@ -166,17 +166,18 @@ def family_matrix(spec: ChainFamilySpec, s: float, t: float) -> StructureMatrix:
 
 
 def _slot_values(spec: ChainFamilySpec, times):
-    """`ev(slot, i)` and the index array `i` of `times` (same shape) into
-    their distinct values: `ev` gives the slot's values at those times, as
-    the scalar `spec._eval` gives them (numpy's exp, log and power round
-    differently) and NaN where that raises.  A slot is evaluated once per
-    distinct time, and only at the times some call asks for."""
-    x = np.asarray(times, dtype=float)
-    order = np.argsort(x, axis=None)
-    xs = x.ravel()[order]
+    """(ev, index): `index` has the shape of `times` and gives each time's
+    position among the sorted distinct times, and `ev(slot, i)` gives the
+    slot's values at the times at positions i, as the scalar `spec._eval`
+    gives them (numpy's exp, log and power round differently) and NaN where
+    that raises.  A slot is evaluated once per distinct time, and only at
+    the times some call asks for."""
+    times = np.asarray(times, dtype=float)
+    order = np.argsort(times, axis=None)
+    xs = times.ravel()[order]
     first = np.r_[True, xs[1:] != xs[:-1]]  # np.unique would import numpy.ma, 0.5 MB
     u = xs[first]
-    index = np.empty(x.size, dtype=np.intp)
+    index = np.empty(times.size, dtype=np.intp)
     index[order] = np.cumsum(first) - 1
     nonzero = _FAMILY[spec.family][2]
     vals = {name: np.full(len(u), math.nan) for name in _FAMILY[spec.family][0]}
@@ -200,7 +201,7 @@ def _slot_values(spec: ChainFamilySpec, times):
             vals[name][new] = got
         return vals[name][i]
 
-    return ev, index.reshape(x.shape)
+    return ev, index.reshape(times.shape)
 
 
 def _family_arrays(spec: ChainFamilySpec, ev, s, t, si, ti):
@@ -260,27 +261,23 @@ CK_BLOCK = 1024  # triples per array pass of verify_ck
 
 def _triple_blocks(samples: int, seed: int, t_max: float):
     """sample_triples as (n, 3) arrays of CK_BLOCK triples, the last one
-    shorter, drawn lazily from the one generator.  t_max is checked now."""
+    shorter, drawn block by block from the one generator."""
     if not 0.3 <= t_max <= sys.float_info.max / 2:
         raise ValueError(f"t_max must be in [0.3, {sys.float_info.max / 2!r}], got {t_max!r}")
     eps = 1e-3
     s_max, tau_max = t_max / 3.0, 2.0 * t_max / 3.0
     draw = iter(random.Random(seed).random, None)  # endless u()
-
-    def blocks():
-        # rng.uniform(a, b) is a + (b - a) * u(); numpy's elementwise +, -
-        # and * round as the scalar float operations do
-        for k in range(0, samples, CK_BLOCK):
-            n = min(CK_BLOCK, samples - k)
-            out = np.fromiter(draw, float, 3 * n).reshape(n, 3)
-            out[:, 0] = 0.1 + (s_max - 0.1) * out[:, 0]
-            lo = out[:, 0] + eps
-            out[:, 1] = lo + (tau_max - lo) * out[:, 1]
-            lo = out[:, 1] + eps
-            out[:, 2] = lo + (t_max - lo) * out[:, 2]
-            yield out
-
-    return blocks()
+    # rng.uniform(a, b) is a + (b - a) * u(); numpy's elementwise +, - and *
+    # round as the scalar float operations do
+    for k in range(0, samples, CK_BLOCK):
+        n = min(CK_BLOCK, samples - k)
+        out = np.fromiter(draw, float, 3 * n).reshape(n, 3)
+        out[:, 0] = 0.1 + (s_max - 0.1) * out[:, 0]
+        lo = out[:, 0] + eps
+        out[:, 1] = lo + (tau_max - lo) * out[:, 1]
+        lo = out[:, 1] + eps
+        out[:, 2] = lo + (t_max - lo) * out[:, 2]
+        yield out
 
 
 def _sampled_law(violation, samples: int, seed: int, tol: float, t_max: float) -> CkReport:
